@@ -26,6 +26,7 @@ from .errors import (
 )
 from .model import (
     CostRates,
+    DistributionSpec,
     ModelConfig,
     ReplicationOutput,
     ResourceLayout,
@@ -45,7 +46,6 @@ from .optimizer import (
     optimize,
 )
 from .rng import (
-    DistributionSpec,
     RandomStream,
     StreamKey,
     sample_exponential,

@@ -191,7 +191,8 @@ def paired_comparison(config_a: ModelConfig, config_b: ModelConfig, n: int,
     cov = math.fsum(
         (a - stats_a.mean) * (b - stats_b.mean) for a, b in zip(costs_a, costs_b)
     ) / (n - 1)
-    var_diff = math.fsum((d - (math.fsum(diffs) / n)) ** 2 for d in diffs) / (n - 1)
+    diff_mean = math.fsum(diffs) / n
+    var_diff = math.fsum((d - diff_mean) ** 2 for d in diffs) / (n - 1)
     if var_diff == 0.0:
         hw = 0.0
     else:

@@ -17,15 +17,15 @@ arrival so per-stream draw sequences do not depend on resource counts.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 from .errors import ConfigurationError
 from .kernel import EventCalendar, ResourcePool
 from .rng import (
     SHARED_SOURCE,
-    DistributionSpec,
     exponential_inverse,
     stream_create,
     triangular_inverse,
@@ -40,6 +40,11 @@ DECISION_FIELDS = ("skilled_per_point", "unskilled_per_point", "dispensers_per_p
 
 CRN_MODES = ("default_stream", "dedicated_streams")
 
+# A replication handles about horizon / arrival.mean arrivals, each in
+# Python; a config that expects more than this would run for hours per
+# replication, so it is rejected as a mistake rather than run.
+MAX_EXPECTED_ARRIVALS = 1e7
+
 # event codes for the run loop
 _ARRIVAL = 0
 _MANUAL_DONE = 1
@@ -47,17 +52,30 @@ _AUTO_DONE = 2
 
 
 @dataclass(frozen=True)
+class DistributionSpec:
+    """Serializable description of a sampling distribution.
+
+    kind "exponential" uses `mean`; kind "triangular" uses `low`, `mode`,
+    `high`, which are `min`, `mode`, `max` in JSON.
+    """
+
+    kind: str
+    mean: float | None = None
+    low: float | None = None
+    mode: float | None = None
+    high: float | None = None
+
+    def to_dict(self) -> dict:
+        if self.kind == "exponential":
+            return {"kind": "exponential", "mean": self.mean}
+        return {"kind": "triangular", "min": self.low, "mode": self.mode, "max": self.high}
+
+
+@dataclass(frozen=True)
 class ClassRates:
     busy_rate: float  # currency per busy unit-hour
     idle_rate: float  # currency per idle unit-hour
     per_use: float  # currency per grant
-
-    def to_dict(self) -> dict:
-        return {
-            "busy_rate": self.busy_rate,
-            "idle_rate": self.idle_rate,
-            "per_use": self.per_use,
-        }
 
 
 @dataclass(frozen=True)
@@ -69,60 +87,106 @@ class CostRates:
     def for_class(self, resource_class: str) -> ClassRates:
         return getattr(self, resource_class)
 
-    def to_dict(self) -> dict:
-        return {c: self.for_class(c).to_dict() for c in RESOURCE_CLASSES}
 
-    @classmethod
-    def from_dict(cls, data: dict, problems: list[str]) -> "CostRates | None":
-        if not isinstance(data, dict):
-            problems.append("cost_rates: expected an object")
+@dataclass(frozen=True)
+class Number:
+    """A numeric config field: a finite JSON number, never a bool or a
+    string, within [low, high]; `positive` excludes low itself."""
+
+    integer: bool = False
+    low: float = 0.0
+    high: float = math.inf
+    positive: bool = False
+
+    def problem(self, value) -> str | None:
+        """What is wrong with `value` for this field, or None."""
+        # abs() <= max, unlike math.isfinite, cannot overflow on a huge int,
+        # and it keeps float() below from overflowing too
+        if (isinstance(value, bool)
+                or not isinstance(value, int if self.integer else (int, float))
+                or not abs(value) <= sys.float_info.max):
+            return "must be an integer" if self.integer else "must be a finite number"
+        if self.low <= value <= self.high and not (self.positive and value == self.low):
             return None
-        unknown = set(data) - set(RESOURCE_CLASSES)
+        if self.high < math.inf:
+            return f"must be in [{self.low:g}, {self.high:g}]"
+        return f"must be {'>' if self.positive else '>='} {self.low:g}"
+
+
+_REAL = Number()
+_POSITIVE = Number(positive=True)
+_PROBABILITY = Number(high=1.0)
+_COUNT = Number(integer=True)
+_TRIANGULAR = {"kind": ("triangular",), "min": _REAL, "mode": _REAL, "max": _REAL}
+_RATES = {"busy_rate": _REAL, "idle_rate": _REAL, "per_use": _REAL}
+_DISTRIBUTIONS = ("arrival", "manual_service", "auto_service")
+
+# The config file's schema. A dict is a JSON object with exactly these
+# keys, a tuple lists the strings a field may take, a Number is a numeric
+# field. Parsing, validate() and to_dict() all read it; its key order is
+# the order of to_dict().
+CONFIG_SCHEMA = {
+    "arrival": {"kind": ("exponential",), "mean": _POSITIVE},
+    "manual_service": _TRIANGULAR,
+    "auto_service": _TRIANGULAR,
+    "unskilled_factor": Number(low=1.0),
+    "p_auto": _PROBABILITY,
+    "p_point_A": _PROBABILITY,
+    "skilled_per_point": _COUNT,
+    "unskilled_per_point": _COUNT,
+    "dispensers_per_point": _COUNT,
+    "cost_rates": {c: _RATES for c in RESOURCE_CLASSES},
+    "horizon": _POSITIVE,
+    "crn_mode": CRN_MODES,
+}
+
+
+def _check(schema, value, path: str, problems: list):
+    """Check `value` against `schema`, appending one message per bad field,
+    named by its dotted path. Returns the value with JSON integers turned
+    to floats in real-valued fields, or None where it is bad."""
+    at = f"{path}: " if path else ""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            problems.append(f"{at}expected an object")
+            return None
+        unknown = set(value) - set(schema)
         if unknown:
-            problems.append(f"cost_rates: unknown fields {sorted(unknown)}")
-        rates = {}
-        for c in RESOURCE_CLASSES:
-            entry = data.get(c)
-            if not isinstance(entry, dict):
-                problems.append(f"cost_rates.{c}: missing or not an object")
-                return None
-            bad = set(entry) - {"busy_rate", "idle_rate", "per_use"}
-            if bad:
-                problems.append(f"cost_rates.{c}: unknown fields {sorted(bad)}")
-                return None
-            try:
-                rates[c] = ClassRates(
-                    float(entry["busy_rate"]),
-                    float(entry["idle_rate"]),
-                    float(entry["per_use"]),
-                )
-            except (KeyError, TypeError, ValueError):
-                problems.append(
-                    f"cost_rates.{c}: needs numeric busy_rate, idle_rate, per_use"
-                )
-                return None
-            for name in ("busy_rate", "idle_rate", "per_use"):
-                if getattr(rates[c], name) < 0:
-                    problems.append(f"cost_rates.{c}.{name}: must be >= 0")
-        if len(rates) != len(RESOURCE_CLASSES):
-            return None
-        return cls(**rates)
+            problems.append(f"{at}unknown fields {sorted(unknown)}")
+        missing = set(schema) - set(value)
+        if missing:
+            problems.append(f"{at}missing fields {sorted(missing)}")
+        return {key: _check(sub, value[key], f"{path}.{key}" if path else key, problems)
+                for key, sub in schema.items() if key in value}
+    if isinstance(schema, tuple):
+        if value in schema:
+            return value
+        problems.append(f"{at}must be one of {schema}")
+        return None
+    problem = schema.problem(value)
+    if problem:
+        problems.append(at + problem)
+        return None
+    return value if schema.integer else float(value)
 
 
-_CONFIG_FIELDS = (
-    "arrival",
-    "manual_service",
-    "auto_service",
-    "unskilled_factor",
-    "p_auto",
-    "p_point_A",
-    "skilled_per_point",
-    "unskilled_per_point",
-    "dispensers_per_point",
-    "cost_rates",
-    "horizon",
-    "crn_mode",
-)
+def _parse(data) -> tuple[dict, list[str]]:
+    """Check a config dict field by field, then the rules that join fields.
+    Returns the checked dict and every problem found."""
+    problems = []
+    checked = _check(CONFIG_SCHEMA, data, "", problems) or {}
+    for name in ("manual_service", "auto_service"):
+        tri = checked.get(name) or {}
+        low, mode, high = (tri.get(key) for key in ("min", "mode", "max"))
+        if None not in (low, mode, high) and not (low <= mode <= high and low < high):
+            problems.append(f"{name}.min, {name}.mode, {name}.max: triangular needs "
+                            "min <= mode <= max with min < max")
+    mean = (checked.get("arrival") or {}).get("mean")
+    horizon = checked.get("horizon")
+    if mean and horizon and horizon / mean > MAX_EXPECTED_ARRIVALS:
+        problems.append(f"arrival.mean, horizon: horizon / arrival.mean expects "
+                        f"{horizon / mean:.3g} arrivals, more than {MAX_EXPECTED_ARRIVALS:g}")
+    return checked, problems
 
 
 @dataclass(frozen=True)
@@ -148,106 +212,29 @@ class ModelConfig:
     crn_mode: str
 
     def validate(self) -> list[str]:
-        problems = []
-        problems += self.arrival.validate("arrival")
-        if self.arrival.kind != "exponential":
-            problems.append("arrival: must be exponential")
-        problems += self.manual_service.validate("manual_service")
-        if self.manual_service.kind != "triangular":
-            problems.append("manual_service: must be triangular")
-        problems += self.auto_service.validate("auto_service")
-        if self.auto_service.kind != "triangular":
-            problems.append("auto_service: must be triangular")
-        if self.unskilled_factor < 1:
-            problems.append("unskilled_factor: must be >= 1")
-        if not 0 <= self.p_auto <= 1:
-            problems.append("p_auto: must be in [0, 1]")
-        if not 0 <= self.p_point_A <= 1:
-            problems.append("p_point_A: must be in [0, 1]")
-        for name in DECISION_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                problems.append(f"{name}: must be a non-negative integer")
-        if not self.horizon > 0:
-            problems.append("horizon: must be > 0")
-        if self.crn_mode not in CRN_MODES:
-            problems.append(f"crn_mode: must be one of {CRN_MODES}")
-        return problems
+        return _parse(self.to_dict())[1]
 
     def to_dict(self) -> dict:
-        return {
-            "arrival": self.arrival.to_dict(),
-            "manual_service": self.manual_service.to_dict(),
-            "auto_service": self.auto_service.to_dict(),
-            "unskilled_factor": self.unskilled_factor,
-            "p_auto": self.p_auto,
-            "p_point_A": self.p_point_A,
-            "skilled_per_point": self.skilled_per_point,
-            "unskilled_per_point": self.unskilled_per_point,
-            "dispensers_per_point": self.dispensers_per_point,
-            "cost_rates": self.cost_rates.to_dict(),
-            "horizon": self.horizon,
-            "crn_mode": self.crn_mode,
-        }
+        data = {name: getattr(self, name) for name in CONFIG_SCHEMA}
+        for name in _DISTRIBUTIONS:
+            data[name] = data[name].to_dict()
+        data["cost_rates"] = asdict(self.cost_rates)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         """Strict parse: unknown or missing fields are errors, and every
         problem found is reported in one message."""
-        if not isinstance(data, dict):
-            raise ConfigurationError("config: expected a JSON object")
-        problems = []
-        unknown = set(data) - set(_CONFIG_FIELDS)
-        if unknown:
-            problems.append(f"unknown fields {sorted(unknown)}")
-        missing = set(_CONFIG_FIELDS) - set(data)
-        if missing:
-            problems.append(f"missing fields {sorted(missing)}")
+        checked, problems = _parse(data)
         if problems:
             raise ConfigurationError("config: " + "; ".join(problems))
-
-        dists = {}
-        for field in ("arrival", "manual_service", "auto_service"):
-            try:
-                dists[field] = DistributionSpec.from_dict(data[field], field)
-            except ConfigurationError as exc:
-                problems.append(str(exc))
-        rates = CostRates.from_dict(data["cost_rates"], problems)
-
-        def number(field):
-            v = data[field]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                problems.append(f"{field}: must be a number")
-                return 0.0
-            return float(v)
-
-        def count(field):
-            v = data[field]
-            if not isinstance(v, int) or isinstance(v, bool):
-                problems.append(f"{field}: must be an integer")
-                return 0
-            return v
-
-        config = None
-        if not problems:
-            config = cls(
-                arrival=dists["arrival"],
-                manual_service=dists["manual_service"],
-                auto_service=dists["auto_service"],
-                unskilled_factor=number("unskilled_factor"),
-                p_auto=number("p_auto"),
-                p_point_A=number("p_point_A"),
-                skilled_per_point=count("skilled_per_point"),
-                unskilled_per_point=count("unskilled_per_point"),
-                dispensers_per_point=count("dispensers_per_point"),
-                cost_rates=rates,
-                horizon=number("horizon"),
-                crn_mode=data["crn_mode"],
-            )
-            problems += config.validate()
-        if problems:
-            raise ConfigurationError("config: " + "; ".join(problems))
-        return config
+        for name in _DISTRIBUTIONS:
+            d = checked[name]
+            checked[name] = DistributionSpec(d["kind"], d.get("mean"), d.get("min"),
+                                             d.get("mode"), d.get("max"))
+        checked["cost_rates"] = CostRates(
+            **{c: ClassRates(**rates) for c, rates in checked["cost_rates"].items()})
+        return cls(**checked)
 
     def with_crn_mode(self, crn_mode: str) -> "ModelConfig":
         return replace(self, crn_mode=crn_mode)
@@ -509,13 +496,13 @@ def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> Cr
     if layout is not None and not problems:
         if config.p_auto > 0 and layout.dispenser_total() == 0:
             problems.append(
-                "dispensers: automated orders have positive probability but no "
-                "dispenser exists at any point"
+                "dispensers_per_point: automated orders have positive probability "
+                "but no dispenser exists at any point"
             )
         if config.p_auto < 1 and layout.manual_total() == 0:
             problems.append(
-                "operatives: manual orders have positive probability but no "
-                "operative exists at any point"
+                "skilled_per_point, unskilled_per_point: manual orders have positive "
+                "probability but no operative exists at any point"
             )
     if problems:
         raise ConfigurationError("config: " + "; ".join(problems))

@@ -121,77 +121,3 @@ def sample_triangular(stream: RandomStream, low: float, mode: float, high: float
             f"got ({low}, {mode}, {high})"
         )
     return triangular_inverse(stream.uniform(), low, mode, high)
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Serializable description of a sampling distribution.
-
-    kind "exponential" uses `mean`; kind "triangular" uses `low`, `mode`,
-    `high`.
-    """
-
-    kind: str
-    mean: float | None = None
-    low: float | None = None
-    mode: float | None = None
-    high: float | None = None
-
-    def validate(self, field: str) -> list[str]:
-        problems = []
-        if self.kind == "exponential":
-            if self.mean is None or self.mean <= 0:
-                problems.append(f"{field}: exponential mean must be > 0")
-        elif self.kind == "triangular":
-            ok = (
-                self.low is not None
-                and self.mode is not None
-                and self.high is not None
-                and self.low <= self.mode <= self.high
-                and self.low < self.high
-            )
-            if not ok:
-                problems.append(
-                    f"{field}: triangular needs min <= mode <= max with min < max"
-                )
-        else:
-            problems.append(f"{field}: unknown distribution kind {self.kind!r}")
-        return problems
-
-    def sample(self, stream: RandomStream) -> float:
-        if self.kind == "exponential":
-            return sample_exponential(stream, self.mean)
-        return sample_triangular(stream, self.low, self.mode, self.high)
-
-    def to_dict(self) -> dict:
-        if self.kind == "exponential":
-            return {"kind": "exponential", "mean": self.mean}
-        return {"kind": "triangular", "min": self.low, "mode": self.mode, "max": self.high}
-
-    @classmethod
-    def from_dict(cls, data: dict, field: str) -> "DistributionSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"{field}: expected an object")
-        kind = data.get("kind")
-        if kind == "exponential":
-            allowed = {"kind", "mean"}
-            spec = cls(kind="exponential", mean=data.get("mean"))
-        elif kind == "triangular":
-            allowed = {"kind", "min", "mode", "max"}
-            spec = cls(
-                kind="triangular",
-                low=data.get("min"),
-                mode=data.get("mode"),
-                high=data.get("max"),
-            )
-        else:
-            raise ConfigurationError(f"{field}: unknown distribution kind {kind!r}")
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigurationError(
-                f"{field}: unknown fields {sorted(unknown)}"
-            )
-        problems = spec.validate(field)
-        if problems:
-            raise ConfigurationError("; ".join(problems))
-        return spec

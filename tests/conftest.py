@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -18,3 +19,20 @@ def paper_config() -> ModelConfig:
 def fast_config(paper_config) -> ModelConfig:
     """Paper config at a 48-hour horizon: same structure, ~10x faster."""
     return replace(paper_config, horizon=2880.0)
+
+
+@pytest.fixture(scope="session")
+def with_field():
+    """`with_field(data, path, value)`: a deep copy of the config dict `data`
+    with the field at the dotted `path` set to `value`."""
+
+    def set_copy(data: dict, path: str, value) -> dict:
+        data = copy.deepcopy(data)
+        *parents, leaf = path.split(".")
+        node = data
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        return data
+
+    return set_copy

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -59,15 +60,27 @@ class TestSimulate:
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
 
-    def test_unknown_config_field_named(self, runner, tmp_path, fast_config):
-        data = fast_config.to_dict()
-        data["mystery_knob"] = 3
+    @pytest.mark.parametrize("field,value", [
+        ("mystery_knob", 3),
+        ("horizon", math.inf),
+        ("unskilled_factor", math.nan),
+        ("cost_rates.dispenser.idle_rate", math.nan),
+        ("cost_rates.skilled.busy_rate", math.inf),
+        ("arrival.mean", "5"),
+        ("arrival.mean", True),
+        ("cost_rates.unskilled.per_use", False),
+        ("cost_rates.skilled.busy_rate", "20"),
+    ], ids=["mystery_knob", "infinite_horizon", "nan_factor", "nan_rate",
+            "infinite_rate", "string_mean", "bool_mean", "bool_rate", "string_rate"])
+    def test_unknown_config_field_named(self, runner, tmp_path, fast_config,
+                                        with_field, field, value):
+        data = with_field(fast_config.to_dict(), field, value)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         res = runner.invoke(main, ["simulate", str(path), "--reps", "3",
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
-        assert "mystery_knob" in res.output
+        assert field in res.output
 
     def test_malformed_json(self, runner, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,35 @@ class TestConfigParsing:
         data["crn_mode"] = "sometimes"
         with pytest.raises(ConfigurationError, match="crn_mode"):
             ModelConfig.from_dict(data)
+
+
+PAPER = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "paper-base.json").read_text())
+HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, True, "5", None, [], 1e9]
+
+
+def field_paths(data, prefix=""):
+    for key, value in data.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from field_paths(value, f"{prefix}{key}.")
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in field_paths(PAPER)
+    for value in HOSTILE + ([1e-9] if field.endswith(".mean") else [])
+])
+def test_hostile_value_named_or_runs(field, value, with_field):
+    """Every accepted config runs to a finite cost; every rejected one names
+    the field."""
+    data = with_field({**PAPER, "horizon": 60.0}, field, value)
+    try:
+        out = run_replication(ModelConfig.from_dict(data), 1, 0)
+    except ConfigurationError as exc:
+        assert field in str(exc)
+    else:
+        assert math.isfinite(out.total_usage_cost)
 
 
 class TestLayout:
