@@ -18,7 +18,9 @@ from .errors import ComparisonError, ConfigurationError, InsufficientDataError
 from .model import (
     DECISION_FIELDS,
     ModelConfig,
+    run_batch,
     run_replications,
+    worker_pool,
 )
 from .rng import derive_master_seed
 
@@ -113,13 +115,15 @@ def replicate_to_precision(config: ModelConfig, seed: int, confidence: float,
 
     costs: list[float] = []
     n = n0
-    while True:
-        new = run_replications(config, seed, range(len(costs), n), threads=threads)
-        costs.extend(out.total_usage_cost for out in new)
-        stats = summarize(costs, confidence)
-        if stats.half_width <= target_half_width or n >= n_max:
-            break
-        n = min(n_max, math.ceil(n * (stats.half_width / target_half_width) ** 2))
+    with worker_pool(threads) as pool:
+        while True:
+            new = run_replications(config, seed, range(len(costs), n),
+                                   threads=threads, executor=pool)
+            costs.extend(out.total_usage_cost for out in new)
+            stats = summarize(costs, confidence)
+            if stats.half_width <= target_half_width or n >= n_max:
+                break
+            n = min(n_max, math.ceil(n * (stats.half_width / target_half_width) ** 2))
     return PrecisionResult(
         target_half_width=target_half_width,
         achieved=stats.half_width <= target_half_width,
@@ -169,20 +173,22 @@ def check_comparable(config_a: ModelConfig, config_b: ModelConfig) -> None:
 
 def paired_comparison(config_a: ModelConfig, config_b: ModelConfig, n: int,
                       crn: bool, seed: int, confidence: float = 0.95,
-                      threads: int = 1) -> PairedResult:
+                      threads: int = 1, executor=None) -> PairedResult:
     """Compare two configurations replication-by-replication.
 
     With crn, replication i of both configs uses identical stream keys;
-    without, config B runs in a disjoint seed-derived key space.
+    without, config B runs in a disjoint seed-derived key space. Both arms
+    run as one batch, on `executor` if given.
     """
     if n < 2:
         raise ConfigurationError("n must be >= 2")
     check_comparable(config_a, config_b)
     seed_b = seed if crn else derive_master_seed(seed, _INDEPENDENT_ARM_TAG)
-    outs_a = run_replications(config_a, seed, range(n), threads=threads)
-    outs_b = run_replications(config_b, seed_b, range(n), threads=threads)
-    costs_a = [o.total_usage_cost for o in outs_a]
-    costs_b = [o.total_usage_cost for o in outs_b]
+    outs = run_batch([(config_a, seed, i, None) for i in range(n)]
+                     + [(config_b, seed_b, i, None) for i in range(n)],
+                     threads, executor)
+    costs_a = [o.total_usage_cost for o in outs[:n]]
+    costs_b = [o.total_usage_cost for o in outs[n:]]
     diffs = [a - b for a, b in zip(costs_a, costs_b)]
 
     stats_a = summarize(costs_a, confidence)
@@ -271,11 +277,10 @@ def halfwidth_table(config_default_stream: ModelConfig,
         raise ConfigurationError("levels must be strictly ascending")
 
     top = levels[-1]
-    costs = {}
-    for name, config in (("default", config_default_stream),
-                         ("crn", config_dedicated)):
-        outs = run_replications(config, seed, range(top), threads=threads)
-        costs[name] = [o.total_usage_cost for o in outs]
+    outs = run_batch([(config_default_stream, seed, i, None) for i in range(top)]
+                     + [(config_dedicated, seed, i, None) for i in range(top)], threads)
+    costs = {"default": [o.total_usage_cost for o in outs[:top]],
+             "crn": [o.total_usage_cost for o in outs[top:]]}
 
     rows = []
     for lv in levels:

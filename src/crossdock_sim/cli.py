@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -27,7 +28,7 @@ from .errors import (
     ConfigurationError,
     InsufficientDataError,
 )
-from .model import ModelConfig, run_replications
+from .model import ModelConfig, run_replications, worker_pool
 from .optimizer import (
     Bounds,
     DecisionPoint,
@@ -221,18 +222,19 @@ def compare(config_a, config_b, reps, crn, both, seed, confidence, out, threads)
         },
         ["compare.json"],
     )
-    result = paired_comparison(cfg_a, cfg_b, reps, crn, seed, confidence,
-                               threads=threads)
-    payload = {"manifest": manifest, "requested": result.to_dict()}
-    if both:
-        other = paired_comparison(cfg_a, cfg_b, reps, not crn, seed, confidence,
-                                  threads=threads)
-        payload["other_mode"] = other.to_dict()
-        crn_var = result.var_diff if crn else other.var_diff
-        ind_var = other.var_diff if crn else result.var_diff
-        payload["var_diff_ratio_crn_over_independent"] = (
-            crn_var / ind_var if ind_var > 0 else None
-        )
+    with worker_pool(threads) as pool:
+        result = paired_comparison(cfg_a, cfg_b, reps, crn, seed, confidence,
+                                   threads=threads, executor=pool)
+        payload = {"manifest": manifest, "requested": result.to_dict()}
+        if both:
+            other = paired_comparison(cfg_a, cfg_b, reps, not crn, seed, confidence,
+                                      threads=threads, executor=pool)
+            payload["other_mode"] = other.to_dict()
+            crn_var = result.var_diff if crn else other.var_diff
+            ind_var = other.var_diff if crn else result.var_diff
+            payload["var_diff_ratio_crn_over_independent"] = (
+                crn_var / ind_var if ind_var > 0 else None
+            )
     write_json(out_dir(out) / "compare.json", payload)
     click.echo(
         f"mean_diff {result.mean_diff:.2f}  var_diff {result.var_diff:.2f}  "
@@ -267,6 +269,8 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
         threads=threads,
     )
     problem.validate()
+    if validate_reps is not None and validate_reps < 2:
+        raise ConfigurationError("--validate-reps must be >= 2")
     manifest = make_manifest(
         "optimize", seed,
         {
@@ -279,26 +283,16 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
         },
         ["optimize_trace.csv", "optimize_summary.json"],
     )
-    trace = run_optimize(problem)
-    summary = {"manifest": manifest, "result": trace.summary_dict(problem)}
-    if validate_reps is not None:
-        if validate_reps < 2:
-            raise ConfigurationError("--validate-reps must be >= 2")
-        validator = Evaluator(
-            OptimizationProblem(
-                base_config=config,
-                bounds=problem.bounds,
-                reps_per_eval=validate_reps,
-                budget=1,
-                crn=crn,
-                seed=seed,
-                threads=threads,
-            )
-        )
-        mean, hw = validator.evaluate(trace.best_point)
-        summary["validation"] = {
-            "reps": validate_reps, "mean": mean, "half_width": hw,
-        }
+    with worker_pool(threads) as pool:
+        trace = run_optimize(problem, pool)
+        summary = {"manifest": manifest, "result": trace.summary_dict(problem)}
+        if validate_reps is not None:
+            validator = Evaluator(replace(problem, reps_per_eval=validate_reps, budget=1),
+                                  executor=pool)
+            mean, hw = validator.evaluate(trace.best_point)
+            summary["validation"] = {
+                "reps": validate_reps, "mean": mean, "half_width": hw,
+            }
 
     directory = out_dir(out)
     best_so_far = float("inf")

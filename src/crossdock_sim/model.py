@@ -16,11 +16,12 @@ arrival so per-stream draw sequences do not depend on resource counts.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cached_property
 
 from .errors import ConfigurationError
 from .kernel import EventCalendar, ResourcePool
@@ -44,6 +45,12 @@ CRN_MODES = ("default_stream", "dedicated_streams")
 # Python; a config that expects more than this would run for hours per
 # replication, so it is rejected as a mistake rather than run.
 MAX_EXPECTED_ARRIVALS = 1e7
+
+# The largest charge one pool may accrue in a run: busy or idle rate x
+# capacity x horizon for time, per_use x max(1, expected arrivals) for
+# grants. It is far enough below the largest float that the sum over all
+# pools, and grant counts far above their mean, keep the cost finite.
+MAX_CHARGE = 1e300
 
 # event codes for the run loop
 _ARRIVAL = 0
@@ -170,6 +177,35 @@ def _check(schema, value, path: str, problems: list):
     return value if schema.integer else float(value)
 
 
+_COUNT_FIELDS = {"skilled": "skilled_per_point", "unskilled": "unskilled_per_point",
+                 "dispenser": "dispensers_per_point"}
+
+
+def _charge_problems(rates: dict, capacity: dict, horizon, arrivals) -> list[str]:
+    """One message per cost rate whose charge over a run can pass MAX_CHARGE.
+
+    `rates` maps each resource class to its rates and `capacity` to its
+    units at one point; `arrivals` is the expected arrival count. None
+    marks a value already reported as bad, and its charges are skipped.
+    """
+    problems = []
+    for cls, count in _COUNT_FIELDS.items():
+        for name, rate in (rates.get(cls) or {}).items():
+            if name == "per_use":
+                factors = (None if arrivals is None else max(1.0, arrivals),)
+                fields = "horizon, arrival.mean"
+            else:
+                factors, fields = (capacity.get(cls), horizon), f"{count}, horizon"
+            if rate is None or None in factors:
+                continue
+            # rate first, so a zero rate gives 0, never 0 x inf
+            charge = math.prod((rate, *factors))
+            if not charge <= MAX_CHARGE:
+                problems.append(f"cost_rates.{cls}.{name}, {fields}: one pool can be "
+                                f"charged {charge:.3g} in a run, more than {MAX_CHARGE:g}")
+    return problems
+
+
 def _parse(data) -> tuple[dict, list[str]]:
     """Check a config dict field by field, then the rules that join fields.
     Returns the checked dict and every problem found."""
@@ -183,9 +219,13 @@ def _parse(data) -> tuple[dict, list[str]]:
                             "min <= mode <= max with min < max")
     mean = (checked.get("arrival") or {}).get("mean")
     horizon = checked.get("horizon")
-    if mean and horizon and horizon / mean > MAX_EXPECTED_ARRIVALS:
+    arrivals = horizon / mean if mean and horizon else None
+    if arrivals and arrivals > MAX_EXPECTED_ARRIVALS:
         problems.append(f"arrival.mean, horizon: horizon / arrival.mean expects "
-                        f"{horizon / mean:.3g} arrivals, more than {MAX_EXPECTED_ARRIVALS:g}")
+                        f"{arrivals:.3g} arrivals, more than {MAX_EXPECTED_ARRIVALS:g}")
+    problems += _charge_problems(checked.get("cost_rates") or {},
+                                 {c: checked.get(f) for c, f in _COUNT_FIELDS.items()},
+                                 horizon, arrivals)
     return checked, problems
 
 
@@ -212,7 +252,13 @@ class ModelConfig:
     crn_mode: str
 
     def validate(self) -> list[str]:
-        return _parse(self.to_dict())[1]
+        """Every problem with this config, or []. Found once per config (it
+        is frozen), so a batch of replications does not repeat the walk."""
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple:
+        return tuple(_parse(self.to_dict())[1])
 
     def to_dict(self) -> dict:
         data = {name: getattr(self, name) for name in CONFIG_SCHEMA}
@@ -504,6 +550,10 @@ def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> Cr
                 "skilled_per_point, unskilled_per_point: manual orders have positive "
                 "probability but no operative exists at any point"
             )
+        problems += _charge_problems(
+            {c: vars(config.cost_rates.for_class(c)) for c in RESOURCE_CLASSES},
+            {c: max(layout.capacity(c, p) for p in POINTS) for c in RESOURCE_CLASSES},
+            config.horizon, config.horizon / config.arrival.mean)
     if problems:
         raise ConfigurationError("config: " + "; ".join(problems))
     return CrossdockModel(config, layout)
@@ -518,23 +568,40 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
     return build_model(config, layout).run(master_seed, replication_index, collect_log)
 
 
-def _run_one(config, master_seed, layout, index):
-    return run_replication(config, master_seed, index, layout=layout)
+def worker_pool(threads: int, executor=None):
+    """Context manager for the worker pool that a command's batches share.
+
+    Yields `executor` itself, left open, when one is given; else a new pool
+    of `threads` worker processes, shut down and joined on exit; else None,
+    at threads <= 1, for running in process.
+    """
+    if executor is not None or threads <= 1:
+        return contextlib.nullcontext(executor)
+    return ProcessPoolExecutor(max_workers=threads)
+
+
+def run_batch(tasks, threads: int = 1, executor=None) -> list:
+    """Run replication tasks, each `(config, master_seed, index, layout)`.
+
+    They run in `executor`'s workers when one is given, else in a pool of
+    `threads` workers started for this batch alone, else (threads <= 1 or
+    one task) in process. Results come in task order whatever the worker
+    scheduling, so output bytes never depend on the thread count.
+    """
+    tasks = list(tasks)
+    for config, layout in dict.fromkeys((task[0], task[3]) for task in tasks):
+        build_model(config, layout)  # fail fast, before any worker runs
+    with worker_pool(threads if len(tasks) > 1 else 1, executor) as pool:
+        if pool is None:
+            return [run_replication(*task) for task in tasks]
+        chunk = max(1, math.ceil(len(tasks) / (4 * threads)))
+        return list(pool.map(run_replication, *zip(*tasks), chunksize=chunk))
 
 
 def run_replications(config: ModelConfig, master_seed: int, indices,
                      layout: ResourceLayout | None = None,
-                     threads: int = 1) -> list:
-    """Run a batch of replications, optionally in worker processes.
-
-    Results are returned in the order of `indices` regardless of worker
-    scheduling, so output bytes never depend on the thread count.
-    """
-    indices = list(indices)
-    build_model(config, layout)  # fail fast before forking workers
-    if threads <= 1 or len(indices) <= 1:
-        return [run_replication(config, master_seed, i, layout=layout) for i in indices]
-    worker = partial(_run_one, config, master_seed, layout)
-    chunk = max(1, math.ceil(len(indices) / (4 * threads)))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, indices, chunksize=chunk))
+                     threads: int = 1, executor=None) -> list:
+    """Run replications `indices` of one config and layout as one batch;
+    see `run_batch` for where they run."""
+    return run_batch([(config, master_seed, i, layout) for i in indices],
+                     threads, executor)

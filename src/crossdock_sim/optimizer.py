@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import summarize
 from .errors import ConfigurationError
-from .model import ModelConfig, ResourceLayout, run_replications
+from .model import ModelConfig, ResourceLayout, run_batch, run_replications, worker_pool
 from .rng import derive_master_seed
 
 _RESTART_TAG = 0x5EED
@@ -103,43 +103,72 @@ class OptimizationTrace:
 
 
 class Evaluator:
-    """Caching objective evaluator; cache hits never consume budget."""
+    """Caching objective evaluator; cache hits never consume budget.
 
-    def __init__(self, problem: OptimizationProblem, crn: bool | None = None):
+    Replications run on `executor`, a worker pool that the caller keeps
+    open across evaluations; without one, each call at `problem.threads`
+    > 1 starts a pool of its own.
+    """
+
+    def __init__(self, problem: OptimizationProblem, crn: bool | None = None,
+                 executor=None):
         problem.validate()
         self.problem = problem
         self.crn = problem.crn if crn is None else crn
+        self.config = problem.base_config.with_crn_mode(
+            "dedicated_streams" if self.crn else "default_stream")
+        self.executor = executor
         self.cache: dict[DecisionPoint, tuple[float, float]] = {}
         self.evaluations: list[Evaluation] = []
 
     def evaluated(self, point: DecisionPoint) -> bool:
         return point in self.cache
 
-    def evaluate(self, point: DecisionPoint) -> tuple[float, float]:
+    def _work(self, point: DecisionPoint) -> tuple:
+        """Master seed and layout of the replications at `point`."""
         problem = self.problem
         if not problem.bounds.contains(point):
             raise ConfigurationError(f"point {point} outside bounds {problem.bounds}")
-        hit = self.cache.get(point)
-        if hit is not None:
-            return hit
-        layout = ResourceLayout.from_totals(point.dispensers, point.operatives)
         if self.crn:
-            config = problem.base_config.with_crn_mode("dedicated_streams")
             seed = problem.seed
         else:
-            config = problem.base_config.with_crn_mode("default_stream")
             seed = derive_master_seed(
                 problem.seed, _POINT_SEED_TAG, point.dispensers, point.operatives
             )
-        outs = run_replications(config, seed, range(problem.reps_per_eval),
-                                layout=layout, threads=problem.threads)
-        stats = summarize([o.total_usage_cost for o in outs], problem.confidence)
+        return seed, ResourceLayout.from_totals(point.dispensers, point.operatives)
+
+    def _record(self, point: DecisionPoint, outs: list) -> tuple[float, float]:
+        stats = summarize([o.total_usage_cost for o in outs], self.problem.confidence)
         result = (stats.mean, stats.half_width)
         self.cache[point] = result
         self.evaluations.append(
             Evaluation(len(self.evaluations) + 1, point, stats.mean, stats.half_width)
         )
         return result
+
+    def evaluate(self, point: DecisionPoint) -> tuple[float, float]:
+        seed, layout = self._work(point)
+        hit = self.cache.get(point)
+        if hit is not None:
+            return hit
+        outs = run_replications(self.config, seed, range(self.problem.reps_per_eval),
+                                layout=layout, threads=self.problem.threads,
+                                executor=self.executor)
+        return self._record(point, outs)
+
+    def evaluate_batch(self, points) -> list:
+        """`evaluate` for each of `points`, with the replications of every
+        point not yet evaluated submitted as one batch; evaluations are
+        recorded in the order of `points`."""
+        work = {p: self._work(p) for p in points}
+        fresh = [p for p in work if p not in self.cache]
+        reps = self.problem.reps_per_eval
+        tasks = [(self.config, seed, i, layout)
+                 for seed, layout in map(work.get, fresh) for i in range(reps)]
+        outs = run_batch(tasks, self.problem.threads, self.executor)
+        for k, point in enumerate(fresh):
+            self._record(point, outs[k * reps:(k + 1) * reps])
+        return [self.cache[p] for p in points]
 
     @property
     def used(self) -> int:
@@ -184,57 +213,62 @@ def _trace_from(evaluator: Evaluator) -> OptimizationTrace:
     )
 
 
-def optimize(problem: OptimizationProblem) -> OptimizationTrace:
+def optimize(problem: OptimizationProblem, executor=None) -> OptimizationTrace:
     """Tabu-augmented best-improvement descent with random restarts.
 
     Stops when the evaluation budget is exhausted or every feasible point
     has been evaluated. Deterministic for a fixed problem: restart choices
-    come from a seed-derived generator and all tie-breaking is fixed.
+    come from a seed-derived generator and all tie-breaking is fixed. The
+    unevaluated neighbours of the current point are evaluated as one batch,
+    on one worker pool for the whole search (`executor`, if given, else a
+    pool of `problem.threads` workers opened for this call).
     """
     problem.validate()
-    evaluator = Evaluator(problem)
     bounds = problem.bounds
     space = bounds.all_points()
     restart_rng = np.random.default_rng(
         np.random.SeedSequence([problem.seed, _RESTART_TAG])
     )
 
-    while evaluator.used < problem.budget and len(evaluator.cache) < len(space):
-        fresh = [p for p in space if not evaluator.evaluated(p)]
-        current = fresh[int(restart_rng.integers(len(fresh)))]
-        current_val = evaluator.evaluate(current)[0]
-        while evaluator.used < problem.budget:
-            best_move = None
-            best_val = current_val
-            for nb in neighbors(current, bounds):
-                if evaluator.evaluated(nb):
-                    continue  # tabu: never revisited
-                if evaluator.used >= problem.budget:
-                    break
-                val = evaluator.evaluate(nb)[0]
-                if val < best_val:  # strict improvement; first-in-order wins ties
-                    best_move, best_val = nb, val
-            if best_move is None:
-                break  # local optimum under tabu: restart
-            current, current_val = best_move, best_val
+    with worker_pool(problem.threads, executor) as pool:
+        evaluator = Evaluator(problem, executor=pool)
+        while evaluator.used < problem.budget and len(evaluator.cache) < len(space):
+            fresh = [p for p in space if not evaluator.evaluated(p)]
+            current = fresh[int(restart_rng.integers(len(fresh)))]
+            current_val = evaluator.evaluate(current)[0]
+            while evaluator.used < problem.budget:
+                # tabu: never revisited; the budget cuts the batch in move order
+                moves = [nb for nb in neighbors(current, bounds)
+                         if not evaluator.evaluated(nb)][:problem.budget - evaluator.used]
+                best_move = None
+                best_val = current_val
+                for nb, (val, _) in zip(moves, evaluator.evaluate_batch(moves)):
+                    if val < best_val:  # strict improvement; first-in-order wins ties
+                        best_move, best_val = nb, val
+                if best_move is None:
+                    break  # local optimum under tabu: restart
+                current, current_val = best_move, best_val
 
     return _trace_from(evaluator)
 
 
 def brute_force_optimum(problem: OptimizationProblem) -> tuple[DecisionPoint, float]:
     """Exhaustive oracle: evaluate every feasible point with CRN semantics
-    and return the lexicographically-first argmin."""
+    and return the lexicographically-first argmin. One worker pool serves
+    the whole run; each batch is one dispenser count, which bounds the
+    replication outputs held at once."""
     problem.validate()
     space = problem.bounds.all_points()
     if len(space) > 10_000:
         raise ConfigurationError(
             f"feasible space of {len(space)} points exceeds the brute-force guard"
         )
-    evaluator = Evaluator(problem, crn=True)
-    best_point = None
-    best_val = math.inf
-    for point in space:  # lexicographic (dispensers, operatives) order
-        val = evaluator.evaluate(point)[0]
-        if val < best_val:
-            best_point, best_val = point, val
-    return best_point, best_val
+    row = problem.bounds.operative_max
+    values = []
+    with worker_pool(problem.threads) as pool:
+        evaluator = Evaluator(problem, crn=True, executor=pool)
+        for start in range(0, len(space), row):
+            values += [val for val, _ in evaluator.evaluate_batch(space[start:start + row])]
+    # space is in lexicographic (dispensers, operatives) order; min keeps the first
+    best = min(range(len(space)), key=values.__getitem__)
+    return space[best], values[best]

@@ -1,5 +1,5 @@
-"""Smoke test of the benchmark: a short traced run exits 0 and ends with a
-strict JSON result that names every per-layer metric in BENCHMARK.json."""
+"""Smoke tests of the benchmark: short runs exit 0 with nothing on stderr
+and end with a strict JSON result that names every metric they report."""
 
 import json
 import subprocess
@@ -7,20 +7,30 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def test_traced_run_reports_every_per_layer_metric():
+def bench_result(*args) -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "simulate-crn",
-         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        [sys.executable, "bench/run.py", *args, "--seed", "1", "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject_constant)
     assert result["correct"] is True
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    assert {metric["name"] for metric in declared} <= set(result["metrics"])
+    return result
+
+
+def test_traced_run_reports_every_per_layer_metric():
+    result = bench_result("--workload", "simulate-crn", "--trace", "1")
+    assert {metric["name"] for metric in DECLARED["per_layer"]} <= set(result["metrics"])
+
+
+def test_untraced_pooled_run_reports_every_end_to_end_metric():
+    result = bench_result("--workload", "optimize-crn", "--trace", "0")
+    assert {metric["name"] for metric in DECLARED["end_to_end"]} <= set(result["metrics"])

@@ -70,8 +70,11 @@ class TestSimulate:
         ("arrival.mean", True),
         ("cost_rates.unskilled.per_use", False),
         ("cost_rates.skilled.busy_rate", "20"),
+        ("cost_rates.skilled.idle_rate", 1e308),
+        ("skilled_per_point", 10**307),
     ], ids=["mystery_knob", "infinite_horizon", "nan_factor", "nan_rate",
-            "infinite_rate", "string_mean", "bool_mean", "bool_rate", "string_rate"])
+            "infinite_rate", "string_mean", "bool_mean", "bool_rate", "string_rate",
+            "overflowing_rate", "overflowing_count"])
     def test_unknown_config_field_named(self, runner, tmp_path, fast_config,
                                         with_field, field, value):
         data = with_field(fast_config.to_dict(), field, value)
@@ -199,6 +202,17 @@ class TestOptimize:
         summary = json.loads((out / "optimize_summary.json").read_text())
         assert summary["validation"]["reps"] == 4
         assert summary["validation"]["mean"] > 0
+
+    def test_threads_do_not_change_bytes(self, runner, config_file, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / threads)
+            res = runner.invoke(main, [
+                "optimize", config_file, "--budget", "12", "--reps", "2",
+                "--validate-reps", "4", "--out", str(outs[-1]), "--threads", threads,
+            ])
+            assert res.exit_code == 0, res.output
+        assert read_all(outs[0]) == read_all(outs[1])
 
     def test_budget_zero_rejected(self, runner, config_file, tmp_path):
         res = runner.invoke(main, ["optimize", config_file, "--budget", "0",

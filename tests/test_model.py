@@ -143,6 +143,20 @@ class TestBuildModel:
         with pytest.raises(ConfigurationError, match="operative"):
             build_model(cfg)
 
+    def test_layout_whose_cost_overflows_is_error(self, paper_config):
+        # 1e295 x 1 x 28800 passes for the config's own layout; 10**6 dispensers do not
+        cfg = replace(paper_config, cost_rates=replace(
+            paper_config.cost_rates,
+            dispenser=replace(paper_config.cost_rates.dispenser, idle_rate=1e295)))
+        build_model(cfg)
+        with pytest.raises(ConfigurationError, match="cost_rates.dispenser.idle_rate"):
+            build_model(cfg, replace(ResourceLayout.symmetric(cfg), dispensers_B=10**6))
+
+    def test_direct_run_rejects_bad_config(self, fast_config):
+        run_replication(fast_config, 1, 0)  # the valid config's check is now cached
+        with pytest.raises(ConfigurationError, match="p_auto"):
+            run_replication(replace(fast_config, p_auto=2.0), 1, 0)
+
 
 class TestRouting:
     def test_all_manual_when_p_auto_zero(self, fast_config):

@@ -1,5 +1,7 @@
+import multiprocessing
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crossdock_sim import (
@@ -14,7 +16,13 @@ from crossdock_sim import (
 )
 from crossdock_sim.analysis import summarize
 from crossdock_sim.model import ResourceLayout, run_replications
-from crossdock_sim.optimizer import Evaluator
+from crossdock_sim.optimizer import (
+    _RESTART_TAG,
+    DEFAULT_BOUNDS,
+    Evaluation,
+    Evaluator,
+    OptimizationTrace,
+)
 
 
 @pytest.fixture
@@ -147,3 +155,68 @@ class TestBruteForce:
     def test_space_guard(self, problem):
         with pytest.raises(ConfigurationError):
             brute_force_optimum(replace(problem, bounds=Bounds(200, 100)))
+
+
+def sequential_search(problem, value):
+    """Reference tabu search, one point at a time, as it ran before
+    neighbour batching. Returns the evaluated points in order."""
+    space = problem.bounds.all_points()
+    restart_rng = np.random.default_rng(
+        np.random.SeedSequence([problem.seed, _RESTART_TAG]))
+    order = []
+
+    def visit(point):
+        order.append(point)
+        return value(point)[0]
+
+    while len(order) < problem.budget and len(order) < len(space):
+        fresh = [p for p in space if p not in order]
+        current = fresh[int(restart_rng.integers(len(fresh)))]
+        current_val = visit(current)
+        while len(order) < problem.budget:
+            best_move, best_val = None, current_val
+            for nb in neighbors(current, problem.bounds):
+                if nb in order:
+                    continue
+                if len(order) >= problem.budget:
+                    break
+                val = visit(nb)
+                if val < best_val:
+                    best_move, best_val = nb, val
+            if best_move is None:
+                break
+            current, current_val = best_move, best_val
+    return order
+
+
+def expected_trace(order, value) -> OptimizationTrace:
+    evaluations = tuple(Evaluation(i + 1, p, *value(p)) for i, p in enumerate(order))
+    means = [e.mean_cost for e in evaluations]
+    incumbent = tuple(min(means[:i + 1]) for i in range(len(means)))
+    best = means.index(min(means))
+    return OptimizationTrace(evaluations, incumbent, order[best], means[best], best + 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("crn", [True, False])
+def test_batched_search_matches_sequential_reference(fast_config, crn, threads):
+    base = OptimizationProblem(fast_config, DEFAULT_BOUNDS, reps_per_eval=2,
+                               budget=1, crn=crn, seed=3)
+    values = {}
+
+    def value(point):  # one point at a time, in process, memoised over budgets
+        if point not in values:
+            values[point] = evaluate(point, base)
+        return values[point]
+
+    for budget in range(1, 31):
+        order = sequential_search(replace(base, budget=budget), value)
+        trace = optimize(replace(base, budget=budget, threads=threads))
+        assert trace == expected_trace(order, value), budget
+
+
+def test_no_worker_outlives_a_search(problem):
+    optimize(replace(problem, threads=2))
+    assert multiprocessing.active_children() == []
+    brute_force_optimum(replace(problem, threads=2))
+    assert multiprocessing.active_children() == []
