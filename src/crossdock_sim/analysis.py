@@ -70,9 +70,13 @@ def summarize(values, confidence: float = 0.95) -> SummaryStats:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError("confidence must be in (0, 1)")
-    mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    sd = math.sqrt(var)
+    # deviations from the first value, so that identical values give a
+    # mean equal to them and an sd of exactly 0
+    first = values[0]
+    shifts = [v - first for v in values]
+    shift = math.fsum(shifts) / n
+    mean = first + shift
+    sd = math.sqrt(math.fsum((d - shift) ** 2 for d in shifts) / (n - 1))
     if sd == 0.0:
         hw = 0.0
     else:
@@ -189,29 +193,21 @@ def paired_comparison(config_a: ModelConfig, config_b: ModelConfig, n: int,
                      threads, executor)
     costs_a = [o.total_usage_cost for o in outs[:n]]
     costs_b = [o.total_usage_cost for o in outs[n:]]
-    diffs = [a - b for a, b in zip(costs_a, costs_b)]
 
     stats_a = summarize(costs_a, confidence)
     stats_b = summarize(costs_b, confidence)
-    mean_diff = stats_a.mean - stats_b.mean
+    stats_diff = summarize([a - b for a, b in zip(costs_a, costs_b)], confidence)
     cov = math.fsum(
         (a - stats_a.mean) * (b - stats_b.mean) for a, b in zip(costs_a, costs_b)
     ) / (n - 1)
-    diff_mean = math.fsum(diffs) / n
-    var_diff = math.fsum((d - diff_mean) ** 2 for d in diffs) / (n - 1)
-    if var_diff == 0.0:
-        hw = 0.0
-    else:
-        hw = (t_quantile(n - 1, 1.0 - (1.0 - confidence) / 2.0)
-              * math.sqrt(var_diff / n))
     return PairedResult(
         n=n,
-        mean_diff=mean_diff,
+        mean_diff=stats_a.mean - stats_b.mean,
         var_a=stats_a.sd ** 2,
         var_b=stats_b.sd ** 2,
-        var_diff=var_diff,
+        var_diff=stats_diff.sd ** 2,
         covariance=cov,
-        half_width_diff=hw,
+        half_width_diff=stats_diff.half_width,
         crn=crn,
     )
 

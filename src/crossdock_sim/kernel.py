@@ -1,14 +1,15 @@
 """Minimal terminating discrete-event kernel.
 
-Event calendar ordered by (time, insertion sequence), capacitated
-resource pools with FIFO queues, and time-weighted busy statistics.
-One kernel instance is strictly single-threaded; parallelism happens at
-the replication level with disjoint instances.
+Event calendar ordered by (time, insertion sequence); the model keeps one
+per pool, of its units' release times. Capacitated resource pools with
+FIFO queues and time-weighted busy statistics serve the event-driven
+engine kept as the tests' oracle. Instances are single-threaded.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 
 from .errors import SimulationLogicError
@@ -35,6 +36,10 @@ class EventCalendar:
             )
         heapq.heappush(self._heap, (time, self._seq, action, payload))
         self._seq += 1
+
+    def peek(self) -> float:
+        """Time of the next event, left in place; inf when the calendar is empty."""
+        return self._heap[0][0] if self._heap else math.inf
 
     def next_event(self):
         """Pop the minimum (time, sequence) event and advance the clock.

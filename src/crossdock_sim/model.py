@@ -19,12 +19,13 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 from .errors import ConfigurationError
-from .kernel import EventCalendar, ResourcePool
+from .kernel import EventCalendar
 from .rng import (
     SHARED_SOURCE,
     exponential_inverse,
@@ -51,12 +52,6 @@ MAX_EXPECTED_ARRIVALS = 1e7
 # grants. It is far enough below the largest float that the sum over all
 # pools, and grant counts far above their mean, keep the cost finite.
 MAX_CHARGE = 1e300
-
-# event codes for the run loop
-_ARRIVAL = 0
-_MANUAL_DONE = 1
-_AUTO_DONE = 2
-
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -214,9 +209,15 @@ def _parse(data) -> tuple[dict, list[str]]:
     for name in ("manual_service", "auto_service"):
         tri = checked.get(name) or {}
         low, mode, high = (tri.get(key) for key in ("min", "mode", "max"))
-        if None not in (low, mode, high) and not (low <= mode <= high and low < high):
+        if None in (low, mode, high):
+            continue
+        if not (low <= mode <= high and low < high):
             problems.append(f"{name}.min, {name}.mode, {name}.max: triangular needs "
                             "min <= mode <= max with min < max")
+        elif not math.isfinite((high - low) * (high - low)):
+            # the inverse CDF multiplies the width by itself
+            problems.append(f"{name}.min, {name}.max: (max - min)^2 overflows; "
+                            "max - min must be below 1.3e154")
     mean = (checked.get("arrival") or {}).get("mean")
     horizon = checked.get("horizon")
     arrivals = horizon / mean if mean and horizon else None
@@ -359,14 +360,17 @@ class ReplicationOutput:
 def total_usage_cost(pool_stats: dict, rates: CostRates) -> float:
     """Sum busy/idle/per-use charges over pools; times convert to hours.
 
-    Pool names are "<class>_<point>", e.g. "skilled_A".
+    Pool names are "<class>_<point>", e.g. "skilled_A". The idle rate is
+    charged on all unit time and the busy premium on busy time, so a flat
+    rate (busy == idle) gives a cost that does not depend on how busy time
+    rounds.
     """
     total = 0.0
     for name, stats in pool_stats.items():
         r = rates.for_class(name.rsplit("_", 1)[0])
         total += (
-            r.busy_rate * stats.busy_time / 60.0
-            + r.idle_rate * stats.idle_time / 60.0
+            r.idle_rate * (stats.busy_time + stats.idle_time) / 60.0
+            + (r.busy_rate - r.idle_rate) * stats.busy_time / 60.0
             + r.per_use * stats.grants
         )
     return total
@@ -382,155 +386,144 @@ class CrossdockModel:
     def pool_capacities(self) -> dict:
         return {
             f"{cls}_{pt}": self.layout.capacity(cls, pt)
-            for pt in POINTS
             for cls in RESOURCE_CLASSES
+            for pt in POINTS
         }
 
     def run(self, master_seed: int, replication_index: int,
             collect_log: bool = False) -> ReplicationOutput:
+        """One replication, each order served as it arrives.
+
+        An order takes all its draws at arrival, so each pool is a FIFO
+        queue fed by the order stream alone. A pool is a calendar of its
+        units' release times: an order takes the unit that frees first and
+        holds it from max(arrival, release) to the end of its service (the
+        c-server FIFO recursion of Kiefer and Wolfowitz).
+        """
         config = self.config
-        log = [] if collect_log else None
+
+        def stream(source):
+            return stream_create(master_seed, source, replication_index)
 
         if config.crn_mode == "default_stream":
-            shared = stream_create(master_seed, SHARED_SOURCE, replication_index)
-            s_arrival = s_type = s_point = shared
-            s_manual = {"A": shared, "B": shared}
-            s_auto = {"A": shared, "B": shared}
+            s_arrival = s_type = s_point = stream(SHARED_SOURCE)
+            s_manual = s_auto = dict.fromkeys(POINTS, s_arrival)
         else:
-            s_arrival = stream_create(master_seed, "arrival", replication_index)
-            s_type = stream_create(master_seed, "order_type", replication_index)
-            s_point = stream_create(master_seed, "point_choice", replication_index)
-            s_manual = {
-                p: stream_create(master_seed, f"manual_service_point_{p}", replication_index)
-                for p in POINTS
-            }
-            s_auto = {
-                p: stream_create(master_seed, f"auto_service_point_{p}", replication_index)
-                for p in POINTS
-            }
+            s_arrival, s_type, s_point = map(stream, ("arrival", "order_type", "point_choice"))
+            s_manual = {p: stream(f"manual_service_point_{p}") for p in POINTS}
+            s_auto = {p: stream(f"auto_service_point_{p}") for p in POINTS}
 
-        skilled = {p: ResourcePool(f"skilled_{p}", self.layout.capacity("skilled", p))
-                   for p in POINTS}
-        unskilled = {p: ResourcePool(f"unskilled_{p}", self.layout.capacity("unskilled", p))
-                     for p in POINTS}
-        dispenser = {p: ResourcePool(f"dispenser_{p}", self.layout.capacity("dispenser", p))
-                     for p in POINTS}
-        manual_queue = {p: [] for p in POINTS}  # shared FIFO per point
+        horizon, arr_mean, factor = config.horizon, config.arrival.mean, config.unskilled_factor
+        p_auto, p_point_A = config.p_auto, config.p_point_A
+        manual, automated = config.manual_service, config.auto_service
+        m_lo, m_mode, m_hi = manual.low, manual.mode, manual.high
+        a_lo, a_mode, a_hi = automated.low, automated.mode, automated.high
 
-        horizon = config.horizon
-        arr_mean = config.arrival.mean
-        m_lo, m_mode, m_hi = (config.manual_service.low,
-                              config.manual_service.mode,
-                              config.manual_service.high)
-        a_lo, a_mode, a_hi = (config.auto_service.low,
-                              config.auto_service.mode,
-                              config.auto_service.high)
-        factor = config.unskilled_factor
-        p_auto = config.p_auto
-        p_point_A = config.p_point_A
+        # one 0.0 entry per unit, its payload the id of the order that last
+        # held the unit; a pool with no units holds one that never frees
+        capacity = self.pool_capacities()
+        units = {name: EventCalendar() for name in capacity}
+        for name, cal in units.items():
+            for _ in range(capacity[name]):
+                cal.schedule(0.0, name)
+            if not capacity[name]:
+                cal.schedule(math.inf, name)
+        skilled, unskilled, dispenser = (
+            {p: units[f"{cls}_{p}"] for p in POINTS} for cls in RESOURCE_CLASSES)
+        busy = dict.fromkeys(units, 0.0)
+        grants = dict.fromkeys(units, 0)
+        orders = [] if collect_log else None
+        arrivals = completions = 0
 
-        cal = EventCalendar()
-        arrivals = 0
-        completions = 0
-
-        cal.schedule(exponential_inverse(s_arrival.uniform(), arr_mean), _ARRIVAL)
-
-        while True:
-            ev = cal.next_event()
-            if ev is None:
-                break
-            t, action, payload = ev
-            if t > horizon:
-                break
-            if action == _ARRIVAL:
-                arrivals += 1
-                eid = arrivals
-                cal.schedule(t + exponential_inverse(s_arrival.uniform(), arr_mean),
-                             _ARRIVAL)
-                auto = s_type.uniform() < p_auto
-                point = "A" if s_point.uniform() < p_point_A else "B"
-                if log is not None:
-                    log.append((t, "arrival", eid, "", 0, 0))
-                if auto:
-                    svc = triangular_inverse(s_auto[point].uniform(), a_lo, a_mode, a_hi)
-                    pool = dispenser[point]
-                    if pool.seize((eid, svc), t):
-                        cal.schedule(t + svc, _AUTO_DONE, (point, eid))
-                        if log is not None:
-                            log.append((t, "grant", eid, pool.name,
-                                        len(pool.wait_queue), pool.busy_units))
-                    elif log is not None:
-                        log.append((t, "enqueue", eid, pool.name,
-                                    len(pool.wait_queue), pool.busy_units))
-                else:
-                    base = triangular_inverse(s_manual[point].uniform(),
-                                              m_lo, m_mode, m_hi)
-                    sk = skilled[point]
-                    un = unskilled[point]
-                    if sk.busy_units < sk.capacity:
-                        sk.seize(eid, t)
-                        cal.schedule(t + base, _MANUAL_DONE, (point, sk, eid))
-                        if log is not None:
-                            log.append((t, "grant", eid, sk.name,
-                                        len(manual_queue[point]), sk.busy_units))
-                    elif un.busy_units < un.capacity:
-                        un.seize(eid, t)
-                        cal.schedule(t + base * factor, _MANUAL_DONE, (point, un, eid))
-                        if log is not None:
-                            log.append((t, "grant", eid, un.name,
-                                        len(manual_queue[point]), un.busy_units))
-                    else:
-                        manual_queue[point].append((eid, base))
-                        if log is not None:
-                            log.append((t, "enqueue", eid, f"manual_{point}",
-                                        len(manual_queue[point]), 0))
-            elif action == _MANUAL_DONE:
-                point, pool, eid = payload
-                completions += 1
-                pool.release(t)
-                if log is not None:
-                    log.append((t, "complete", eid, pool.name,
-                                len(manual_queue[point]), pool.busy_units))
-                queue = manual_queue[point]
-                if queue:
-                    # freed unit takes the queue head; duration depends on
-                    # which class freed up
-                    next_eid, base = queue.pop(0)
-                    pool.seize(next_eid, t)
-                    dur = base * factor if pool is unskilled[point] else base
-                    cal.schedule(t + dur, _MANUAL_DONE, (point, pool, next_eid))
-                    if log is not None:
-                        log.append((t, "grant", next_eid, pool.name,
-                                    len(queue), pool.busy_units))
-            else:  # _AUTO_DONE
-                point, eid = payload
-                completions += 1
+        t = exponential_inverse(s_arrival.uniform(), arr_mean)
+        while t <= horizon:
+            arrivals += 1
+            next_t = t + exponential_inverse(s_arrival.uniform(), arr_mean)
+            auto = s_type.uniform() < p_auto
+            point = "A" if s_point.uniform() < p_point_A else "B"
+            if auto:
+                dur = triangular_inverse(s_auto[point].uniform(), a_lo, a_mode, a_hi)
                 pool = dispenser[point]
-                granted = pool.release(t)
-                if log is not None:
-                    log.append((t, "complete", eid, pool.name,
-                                len(pool.wait_queue), pool.busy_units))
-                if granted is not None:
-                    next_eid, svc = granted
-                    cal.schedule(t + svc, _AUTO_DONE, (point, next_eid))
-                    if log is not None:
-                        log.append((t, "grant", next_eid, pool.name,
-                                    len(pool.wait_queue), pool.busy_units))
+            else:
+                dur = triangular_inverse(s_manual[point].uniform(), m_lo, m_mode, m_hi)
+                pool = skilled[point]
+                # an idle skilled operative, else an idle unskilled one,
+                # else whichever frees first, skilled on a tie
+                skilled_free = pool.peek()
+                if skilled_free > t and unskilled[point].peek() < skilled_free:
+                    pool = unskilled[point]
+                    dur *= factor
+            release, name, holder = pool.next_event()
+            start = release if release > t else t
+            end = start + dur
+            pool.schedule(end, name, arrivals)
+            if start <= horizon:
+                grants[name] += 1
+                busy[name] += (end if end < horizon else horizon) - start
+                completions += end <= horizon
+            if orders is not None:
+                queue = f"dispenser_{point}" if auto else f"manual_{point}"
+                orders.append((t, queue, name, start, end, holder if release > t else None))
+            t = next_t
 
-        pool_stats = {}
-        for pools in (skilled, unskilled, dispenser):
-            for pool in pools.values():
-                busy, idle, grants = pool.finalize_stats(horizon)
-                pool_stats[pool.name] = PoolStats(busy, idle, grants)
-
+        pool_stats = {name: PoolStats(busy[name], capacity[name] * horizon - busy[name],
+                                      grants[name])
+                      for name in units}
         return ReplicationOutput(
             total_usage_cost=total_usage_cost(pool_stats, config.cost_rates),
             arrivals=arrivals,
             completions=completions,
             in_system_at_end=arrivals - completions,
             pools=pool_stats,
-            log=tuple(log) if log is not None else None,
+            log=_event_log(orders, horizon) if orders is not None else None,
         )
+
+
+def _event_log(orders: list, horizon: float) -> tuple:
+    """Rows `(time, kind, order id, pool, queue length, busy units)` of the
+    arrivals, enqueues, grants and completions up to the horizon.
+
+    `orders[i]` is order i + 1's `(arrival, queue, pool, start, end,
+    freed_by)`: `queue` is "manual_<point>" or the dispenser pool, and
+    `freed_by` the order whose completion handed over the unit, or None.
+    Rows come in event-loop order: by time, then by when the event was
+    scheduled (an arrival at the one before it, a completion at its start).
+    """
+    handoff = {freed_by: i for i, (*_, freed_by) in enumerate(orders, 1) if freed_by}
+    busy, queued, log = Counter(), Counter(), []
+    events = EventCalendar()
+    if orders:
+        events.schedule(orders[0][0], "arrival", 1)
+    while (event := events.next_event()) is not None and event[0] <= horizon:
+        t, kind, i = event
+        _, queue, pool, start, end, _ = orders[i - 1]
+        if kind == "arrival":
+            log.append((t, "arrival", i, "", 0, 0))
+            if i < len(orders):
+                events.schedule(orders[i][0], "arrival", i + 1)
+            if start == t:
+                busy[pool] += 1
+                log.append((t, "grant", i, pool, queued[queue], busy[pool]))
+                events.schedule(end, "complete", i)
+            else:
+                queued[queue] += 1
+                log.append((t, "enqueue", i, queue, queued[queue], busy[queue]))
+            continue
+        # a dispenser's row shows the queue after a hand-off, a manual
+        # pool's row the unit freed before it
+        successor = handoff.get(i)
+        if successor and queue == pool:
+            queued[queue] -= 1
+        else:
+            busy[pool] -= 1
+        log.append((t, "complete", i, pool, queued[queue], busy[pool]))
+        if successor:
+            if queue != pool:
+                queued[queue] -= 1
+                busy[pool] += 1
+            log.append((t, "grant", successor, pool, queued[queue], busy[pool]))
+            events.schedule(orders[successor - 1][4], "complete", successor)
+    return tuple(log)
 
 
 def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> CrossdockModel:

@@ -66,6 +66,12 @@ class TestSummarize:
         s = summarize([5.0, 5.0, 5.0, 5.0], 0.95)
         assert (s.mean, s.sd, s.half_width) == (5.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [833.3333333333333, 0.1, -2.5e-7, 1e300 / 3])
+    @pytest.mark.parametrize("n", [2, 3, 5, 50])
+    def test_identical_values_zero_sd(self, value, n):
+        s = summarize([value] * n, 0.95)
+        assert (s.mean, s.sd, s.half_width) == (value, 0.0, 0.0)
+
     def test_three_values_closed_form(self):
         s = summarize([1.0, 2.0, 3.0], 0.95)
         assert s.mean == pytest.approx(2.0)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -30,6 +31,16 @@ class TestEventCalendar:
 
     def test_empty_returns_none(self):
         assert EventCalendar().next_event() is None
+
+    def test_peek_leaves_the_next_event(self):
+        cal = EventCalendar()
+        assert cal.peek() == math.inf
+        cal.schedule(5.0, "a")
+        cal.schedule(3.0, "b")
+        assert cal.peek() == 3.0
+        assert len(cal) == 2 and cal.clock == 0.0
+        assert cal.next_event()[1] == "b"
+        assert cal.peek() == 5.0
 
     def test_clock_monotone_nondecreasing(self):
         cal = EventCalendar()

@@ -72,6 +72,9 @@ class TestConfigParsing:
 PAPER = json.loads(
     (Path(__file__).resolve().parent.parent / "configs" / "paper-base.json").read_text())
 HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, True, "5", None, [], 1e9]
+# one more hostile value, listed after the others so that the index-based
+# ids of the cases above stay as they are
+HUGE = 1e308
 
 
 def field_paths(data, prefix=""):
@@ -85,7 +88,7 @@ def field_paths(data, prefix=""):
     (field, value)
     for field in field_paths(PAPER)
     for value in HOSTILE + ([1e-9] if field.endswith(".mean") else [])
-])
+] + [(field, HUGE) for field in field_paths(PAPER)])
 def test_hostile_value_named_or_runs(field, value, with_field):
     """Every accepted config runs to a finite cost; every rejected one names
     the field."""

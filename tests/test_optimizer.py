@@ -15,7 +15,7 @@ from crossdock_sim import (
     optimize,
 )
 from crossdock_sim.analysis import summarize
-from crossdock_sim.model import ResourceLayout, run_replications
+from crossdock_sim.model import ClassRates, CostRates, ResourceLayout, run_replications
 from crossdock_sim.optimizer import (
     _RESTART_TAG,
     DEFAULT_BOUNDS,
@@ -197,10 +197,8 @@ def expected_trace(order, value) -> OptimizationTrace:
     return OptimizationTrace(evaluations, incumbent, order[best], means[best], best + 1)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("crn", [True, False])
-def test_batched_search_matches_sequential_reference(fast_config, crn, threads):
-    base = OptimizationProblem(fast_config, DEFAULT_BOUNDS, reps_per_eval=2,
+def assert_search_matches_sequential_reference(config, crn, threads):
+    base = OptimizationProblem(config, DEFAULT_BOUNDS, reps_per_eval=2,
                                budget=1, crn=crn, seed=3)
     values = {}
 
@@ -213,6 +211,22 @@ def test_batched_search_matches_sequential_reference(fast_config, crn, threads):
         order = sequential_search(replace(base, budget=budget), value)
         trace = optimize(replace(base, budget=budget, threads=threads))
         assert trace == expected_trace(order, value), budget
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("crn", [True, False])
+def test_batched_search_matches_sequential_reference(fast_config, crn, threads):
+    assert_search_matches_sequential_reference(fast_config, crn, threads)
+
+
+@pytest.mark.parametrize("crn", [True, False])
+def test_batched_search_breaks_ties_like_sequential_reference(fast_config, crn):
+    """Busy rate == idle rate and no per-use charge: every layout costs
+    exactly rate x units x horizon, so neighbours with the same d + o tie,
+    and only a strict improvement may move the search."""
+    flat = ClassRates(busy_rate=10.0, idle_rate=10.0, per_use=0.0)
+    config = replace(fast_config, cost_rates=CostRates(flat, flat, flat))
+    assert_search_matches_sequential_reference(config, crn, 1)
 
 
 def test_no_worker_outlives_a_search(problem):
