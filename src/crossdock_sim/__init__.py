@@ -41,14 +41,11 @@ from .optimizer import (
     OptimizationProblem,
     OptimizationTrace,
     brute_force_optimum,
-    evaluate,
     neighbors,
     optimize,
 )
 from .rng import (
     RandomStream,
     StreamKey,
-    sample_exponential,
-    sample_triangular,
     stream_create,
 )

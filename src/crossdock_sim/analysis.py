@@ -52,15 +52,6 @@ class SummaryStats:
     confidence: float
     half_width: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "sd": self.sd,
-            "confidence": self.confidence,
-            "half_width": self.half_width,
-        }
-
 
 def summarize(values, confidence: float = 0.95) -> SummaryStats:
     """Mean, sample sd and confidence half width of a replication batch."""
@@ -90,14 +81,6 @@ class PrecisionResult:
     achieved: bool
     n_used: int
     final: SummaryStats
-
-    def to_dict(self) -> dict:
-        return {
-            "target_half_width": self.target_half_width,
-            "achieved": self.achieved,
-            "n_used": self.n_used,
-            "final": self.final.to_dict(),
-        }
 
 
 def replicate_to_precision(config: ModelConfig, seed: int, confidence: float,
@@ -146,18 +129,6 @@ class PairedResult:
     covariance: float
     half_width_diff: float
     crn: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean_diff": self.mean_diff,
-            "var_a": self.var_a,
-            "var_b": self.var_b,
-            "var_diff": self.var_diff,
-            "covariance": self.covariance,
-            "half_width_diff": self.half_width_diff,
-            "crn": self.crn,
-        }
 
 
 def check_comparable(config_a: ModelConfig, config_b: ModelConfig) -> None:
@@ -225,33 +196,15 @@ class HalfwidthTable:
     """Half widths of Total Usage Cost by replication level for the
     default-stream and dedicated-streams models.
 
-    first_minus_last_* is the first-level minus last-level half width per
-    model; sum_of_level_differences sums the per-level differences.
+    first_minus_last_halfwidth_* is the first-level minus last-level half
+    width per model; sum_of_level_differences sums the per-level differences.
     """
 
     rows: tuple
-    first_minus_last_default_stream: float
-    first_minus_last_crn: float
+    first_minus_last_halfwidth_default_stream: float
+    first_minus_last_halfwidth_crn: float
     sum_of_level_differences: float
     confidence: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "replications": r.replications,
-                    "halfwidth_default_stream": r.halfwidth_default_stream,
-                    "halfwidth_crn": r.halfwidth_crn,
-                    "difference": r.difference,
-                }
-                for r in self.rows
-            ],
-            "first_minus_last_halfwidth_default_stream":
-                self.first_minus_last_default_stream,
-            "first_minus_last_halfwidth_crn": self.first_minus_last_crn,
-            "sum_of_level_differences": self.sum_of_level_differences,
-            "confidence": self.confidence,
-        }
 
 
 def halfwidth_table(config_default_stream: ModelConfig,
@@ -286,10 +239,10 @@ def halfwidth_table(config_default_stream: ModelConfig,
 
     return HalfwidthTable(
         rows=tuple(rows),
-        first_minus_last_default_stream=(
+        first_minus_last_halfwidth_default_stream=(
             rows[0].halfwidth_default_stream - rows[-1].halfwidth_default_stream
         ),
-        first_minus_last_crn=rows[0].halfwidth_crn - rows[-1].halfwidth_crn,
+        first_minus_last_halfwidth_crn=rows[0].halfwidth_crn - rows[-1].halfwidth_crn,
         sum_of_level_differences=math.fsum(r.difference for r in rows),
         confidence=confidence,
     )

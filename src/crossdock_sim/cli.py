@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,9 +74,13 @@ def out_dir(path: str) -> Path:
 
 
 seed_option = click.option("--seed", default=12345, show_default=True, type=int)
+confidence_option = click.option(
+    "--confidence", default=0.95, show_default=True,
+    type=click.FloatRange(0, 1, min_open=True, max_open=True),
+)
 threads_option = click.option(
-    "--threads", default=1, show_default=True, type=int,
-    help="Replication-level worker processes; never changes output bytes.",
+    "--threads", default=1, show_default=True, type=click.IntRange(min=1),
+    help="Worker processes, at most the usable CPUs; never changes output bytes.",
 )
 out_option = click.option(
     "--out", default="reports", show_default=True,
@@ -92,7 +97,7 @@ def main():
 @click.argument("config_path", metavar="CONFIG")
 @seed_option
 @click.option("--reps", default=100, show_default=True, type=int)
-@click.option("--confidence", default=0.95, show_default=True, type=float)
+@confidence_option
 @click.option("--event-log", is_flag=True,
               help="Also write a per-event CSV (slow; for auditing).")
 @out_option
@@ -116,7 +121,7 @@ def simulate(config_path, seed, reps, confidence, event_log, out, threads):
 
     directory = out_dir(out)
     write_json(directory / "simulate_summary.json",
-               {"manifest": manifest, "summary": stats.to_dict()})
+               {"manifest": manifest, "summary": stats})
     write_csv(
         directory / "simulate_replications.csv",
         ["replication", "total_usage_cost", "arrivals", "completions",
@@ -150,7 +155,7 @@ def simulate(config_path, seed, reps, confidence, event_log, out, threads):
 @click.option("--levels", default="100,500,1000,2500,5000", show_default=True,
               help="Comma-separated ascending replication counts.")
 @seed_option
-@click.option("--confidence", default=0.95, show_default=True, type=float)
+@confidence_option
 @out_option
 @threads_option
 @handles_errors
@@ -175,7 +180,7 @@ def table5(config_path, levels, seed, confidence, out, threads):
 
     directory = out_dir(out)
     write_json(directory / "table5.json",
-               {"manifest": manifest, "table": table.to_dict()})
+               {"manifest": manifest, "table": table})
     write_csv(
         directory / "table5.csv",
         ["replications", "halfwidth_default_stream", "halfwidth_crn", "difference"],
@@ -186,8 +191,8 @@ def table5(config_path, levels, seed, confidence, out, threads):
         manifest,
         footer=[
             ("first_minus_last_halfwidth_default_stream",
-             table.first_minus_last_default_stream),
-            ("first_minus_last_halfwidth_crn", table.first_minus_last_crn),
+             table.first_minus_last_halfwidth_default_stream),
+            ("first_minus_last_halfwidth_crn", table.first_minus_last_halfwidth_crn),
             ("sum_of_level_differences", table.sum_of_level_differences),
         ],
     )
@@ -202,7 +207,7 @@ def table5(config_path, levels, seed, confidence, out, threads):
 @click.option("--both", is_flag=True,
               help="Report the other stream mode too, with the variance ratio.")
 @seed_option
-@click.option("--confidence", default=0.95, show_default=True, type=float)
+@confidence_option
 @out_option
 @threads_option
 @handles_errors
@@ -225,11 +230,11 @@ def compare(config_a, config_b, reps, crn, both, seed, confidence, out, threads)
     with worker_pool(threads) as pool:
         result = paired_comparison(cfg_a, cfg_b, reps, crn, seed, confidence,
                                    threads=threads, executor=pool)
-        payload = {"manifest": manifest, "requested": result.to_dict()}
+        payload = {"manifest": manifest, "requested": result}
         if both:
             other = paired_comparison(cfg_a, cfg_b, reps, not crn, seed, confidence,
                                       threads=threads, executor=pool)
-            payload["other_mode"] = other.to_dict()
+            payload["other_mode"] = other
             crn_var = result.var_diff if crn else other.var_diff
             ind_var = other.var_diff if crn else result.var_diff
             payload["var_diff_ratio_crn_over_independent"] = (
@@ -290,18 +295,13 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
             validator = Evaluator(replace(problem, reps_per_eval=validate_reps, budget=1),
                                   executor=pool)
             mean, hw = validator.evaluate(trace.best_point)
-            summary["validation"] = {
-                "reps": validate_reps, "mean": mean, "half_width": hw,
-            }
+            summary["validation"] = {"reps": validate_reps, "mean": mean, "half_width": hw}
 
     directory = out_dir(out)
-    best_so_far = float("inf")
-    rows = []
-    for ev, inc in zip(trace.evaluations, trace.incumbent):
-        is_new_best = ev.mean_cost < best_so_far
-        best_so_far = min(best_so_far, ev.mean_cost)
-        rows.append((ev.index, ev.point.dispensers, ev.point.operatives,
-                     ev.mean_cost, ev.half_width, inc, is_new_best))
+    # an evaluation is a new best when it beats the incumbent before it
+    rows = [(ev.index, *ev.point, ev.mean_cost, ev.half_width, inc, ev.mean_cost < before)
+            for ev, inc, before in zip(trace.evaluations, trace.incumbent,
+                                       (math.inf, *trace.incumbent))]
     write_csv(
         directory / "optimize_trace.csv",
         ["eval_index", "dispensers", "operatives", "mean_cost", "half_width",
@@ -322,7 +322,7 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
               help="Target confidence-interval half width.")
 @click.option("--n0", default=10, show_default=True, type=int)
 @click.option("--n-max", default=10000, show_default=True, type=int)
-@click.option("--confidence", default=0.95, show_default=True, type=float)
+@confidence_option
 @seed_option
 @out_option
 @threads_option
@@ -344,7 +344,7 @@ def precision(config_path, target, n0, n_max, confidence, seed, out, threads):
     result = replicate_to_precision(config, seed, confidence, target, n0, n_max,
                                     threads=threads)
     write_json(out_dir(out) / "precision.json",
-               {"manifest": manifest, "result": result.to_dict()})
+               {"manifest": manifest, "result": result})
     click.echo(
         f"achieved {result.achieved}  n_used {result.n_used}  "
         f"half_width {result.final.half_width:.2f}"

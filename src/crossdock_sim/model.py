@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -561,13 +562,19 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
     return build_model(config, layout).run(master_seed, replication_index, collect_log)
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def worker_pool(threads: int, executor=None):
     """Context manager for the worker pool that a command's batches share.
 
     Yields `executor` itself, left open, when one is given; else a new pool
-    of `threads` worker processes, shut down and joined on exit; else None,
-    at threads <= 1, for running in process.
+    of `threads` worker processes, at most the usable CPUs, shut down and
+    joined on exit; else None, at one worker, for running in process.
     """
+    threads = min(threads, _usable_cpus())
     if executor is not None or threads <= 1:
         return contextlib.nullcontext(executor)
     return ProcessPoolExecutor(max_workers=threads)
@@ -587,7 +594,7 @@ def run_batch(tasks, threads: int = 1, executor=None) -> list:
     with worker_pool(threads if len(tasks) > 1 else 1, executor) as pool:
         if pool is None:
             return [run_replication(*task) for task in tasks]
-        chunk = max(1, math.ceil(len(tasks) / (4 * threads)))
+        chunk = max(1, math.ceil(len(tasks) / (4 * min(threads, _usable_cpus()))))
         return list(pool.map(run_replication, *zip(*tasks), chunksize=chunk))
 
 

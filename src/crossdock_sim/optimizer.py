@@ -12,7 +12,7 @@ own seed-derived key space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +48,6 @@ class Bounds:
         ]
 
 
-# The constraint-block bounds: dispensers <= 6, operatives <= 4.
-DEFAULT_BOUNDS = Bounds(dispenser_max=6, operative_max=4)
-
-
 @dataclass(frozen=True)
 class OptimizationProblem:
     base_config: ModelConfig
@@ -60,7 +56,6 @@ class OptimizationProblem:
     budget: int
     crn: bool
     seed: int
-    confidence: float = 0.95
     threads: int = 1
 
     def validate(self) -> None:
@@ -89,10 +84,7 @@ class OptimizationTrace:
 
     def summary_dict(self, problem: OptimizationProblem) -> dict:
         return {
-            "best_point": {
-                "dispensers": self.best_point.dispensers,
-                "operatives": self.best_point.operatives,
-            },
+            "best_point": self.best_point._asdict(),
             "best_value": self.best_value,
             "best_found_at": self.best_found_at,
             "evaluations_used": len(self.evaluations),
@@ -110,13 +102,11 @@ class Evaluator:
     > 1 starts a pool of its own.
     """
 
-    def __init__(self, problem: OptimizationProblem, crn: bool | None = None,
-                 executor=None):
+    def __init__(self, problem: OptimizationProblem, executor=None):
         problem.validate()
         self.problem = problem
-        self.crn = problem.crn if crn is None else crn
         self.config = problem.base_config.with_crn_mode(
-            "dedicated_streams" if self.crn else "default_stream")
+            "dedicated_streams" if problem.crn else "default_stream")
         self.executor = executor
         self.cache: dict[DecisionPoint, tuple[float, float]] = {}
         self.evaluations: list[Evaluation] = []
@@ -129,7 +119,7 @@ class Evaluator:
         problem = self.problem
         if not problem.bounds.contains(point):
             raise ConfigurationError(f"point {point} outside bounds {problem.bounds}")
-        if self.crn:
+        if problem.crn:
             seed = problem.seed
         else:
             seed = derive_master_seed(
@@ -138,7 +128,7 @@ class Evaluator:
         return seed, ResourceLayout.from_totals(point.dispensers, point.operatives)
 
     def _record(self, point: DecisionPoint, outs: list) -> tuple[float, float]:
-        stats = summarize([o.total_usage_cost for o in outs], self.problem.confidence)
+        stats = summarize([o.total_usage_cost for o in outs])
         result = (stats.mean, stats.half_width)
         self.cache[point] = result
         self.evaluations.append(
@@ -173,11 +163,6 @@ class Evaluator:
     @property
     def used(self) -> int:
         return len(self.evaluations)
-
-
-def evaluate(point: DecisionPoint, problem: OptimizationProblem) -> tuple[float, float]:
-    """One objective evaluation: mean cost and half width at `point`."""
-    return Evaluator(problem).evaluate(point)
 
 
 def neighbors(point: DecisionPoint, bounds: Bounds) -> list:
@@ -266,7 +251,7 @@ def brute_force_optimum(problem: OptimizationProblem) -> tuple[DecisionPoint, fl
     row = problem.bounds.operative_max
     values = []
     with worker_pool(problem.threads) as pool:
-        evaluator = Evaluator(problem, crn=True, executor=pool)
+        evaluator = Evaluator(replace(problem, crn=True), executor=pool)
         for start in range(0, len(space), row):
             values += [val for val, _ in evaluator.evaluate_batch(space[start:start + row])]
     # space is in lexicographic (dispensers, operatives) order; min keeps the first

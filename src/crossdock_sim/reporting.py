@@ -9,6 +9,7 @@ shortest round-trip decimal formatting for floats.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +34,8 @@ def format_cell(value) -> str:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """`payload` as JSON; a dataclass in it becomes the dict of its fields."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=asdict) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list, manifest: dict,

@@ -104,20 +104,3 @@ def triangular_inverse(u: float, low: float, mode: float, high: float) -> float:
     if u <= c:
         return low + math.sqrt(u * span * (mode - low))
     return high - math.sqrt((1.0 - u) * span * (high - mode))
-
-
-def sample_exponential(stream: RandomStream, mean: float) -> float:
-    """Exponential sample by inverse transform; consumes exactly one uniform."""
-    if mean <= 0:
-        raise ConfigurationError("exponential mean must be > 0")
-    return exponential_inverse(stream.uniform(), mean)
-
-
-def sample_triangular(stream: RandomStream, low: float, mode: float, high: float) -> float:
-    """Triangular sample by inverse transform; consumes exactly one uniform."""
-    if not (low <= mode <= high) or not low < high:
-        raise ConfigurationError(
-            f"triangular parameters must satisfy min <= mode <= max and min < max, "
-            f"got ({low}, {mode}, {high})"
-        )
-    return triangular_inverse(stream.uniform(), low, mode, high)

@@ -21,13 +21,12 @@ from crossdock_sim import (
     optimize,
     run_replication,
     run_replications,
-    sample_exponential,
-    sample_triangular,
     stream_create,
     summarize,
     t_quantile,
 )
 from crossdock_sim.analysis import paired_comparison
+from crossdock_sim.rng import exponential_inverse, triangular_inverse
 from crossdock_sim.cli import main
 
 
@@ -126,11 +125,11 @@ def test_criterion_6_statistical_kernel():
 
 def test_criterion_7_sampling_means():
     s = stream_create(2024, "manual_service_point_A", 0)
-    tri = [sample_triangular(s, 3.0, 7.0, 14.0) for _ in range(10**6)]
+    tri = [triangular_inverse(s.uniform(), 3.0, 7.0, 14.0) for _ in range(10**6)]
     tri_mean = sum(tri) / len(tri)
     assert abs(tri_mean - 8.0) < 0.005 * 8.0
     s = stream_create(2024, "arrival", 0)
-    exp = [sample_exponential(s, 5.0) for _ in range(10**6)]
+    exp = [exponential_inverse(s.uniform(), 5.0) for _ in range(10**6)]
     exp_mean = sum(exp) / len(exp)
     assert abs(exp_mean - 5.0) < 0.005 * 5.0
     report(7, f"triangular mean {tri_mean:.4f} ~ 8, exponential mean "

@@ -167,8 +167,8 @@ class TestHalfwidthTable:
             fast_config.with_crn_mode("default_stream"), fast_config, [20], seed=4
         )
         assert len(table.rows) == 1
-        assert table.first_minus_last_default_stream == 0.0
-        assert table.first_minus_last_crn == 0.0
+        assert table.first_minus_last_halfwidth_default_stream == 0.0
+        assert table.first_minus_last_halfwidth_crn == 0.0
 
     def test_identical_models_zero_differences(self, fast_config):
         table = halfwidth_table(fast_config, fast_config, [10, 20, 30], seed=4)
@@ -182,7 +182,7 @@ class TestHalfwidthTable:
         )
         assert [r.replications for r in table.rows] == levels
         first, last = table.rows[0], table.rows[-1]
-        assert table.first_minus_last_default_stream == pytest.approx(
+        assert table.first_minus_last_halfwidth_default_stream == pytest.approx(
             first.halfwidth_default_stream - last.halfwidth_default_stream
         )
         assert table.sum_of_level_differences == pytest.approx(

@@ -24,6 +24,49 @@ def read_all(directory):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
 
 
+# Report keys are the field names of the result dataclasses; these pin them.
+SUMMARY_KEYS = {"n", "mean", "sd", "confidence", "half_width"}
+PAIRED_KEYS = {"n", "mean_diff", "var_a", "var_b", "var_diff", "covariance",
+               "half_width_diff", "crn"}
+
+# Each command's arguments before the options; CONFIG stands for a config path.
+COMMANDS = {
+    "simulate": ["simulate", "CONFIG"],
+    "table5": ["table5", "CONFIG"],
+    "compare": ["compare", "CONFIG", "CONFIG"],
+    "optimize": ["optimize", "CONFIG"],
+    "precision": ["precision", "CONFIG", "--target", "1"],
+}
+
+
+def command_args(name, config_file):
+    return [config_file if arg == "CONFIG" else arg for arg in COMMANDS[name]]
+
+
+@pytest.mark.parametrize("value", ["0", "1.5"])
+@pytest.mark.parametrize("name", ["simulate", "table5", "compare", "precision"])
+def test_confidence_outside_unit_interval_rejected_before_running(
+        runner, config_file, tmp_path, name, value):
+    out = tmp_path / "x"
+    res = runner.invoke(main, command_args(name, config_file)
+                        + ["--confidence", value, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--confidence" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_threads_below_one_rejected_before_running(runner, config_file, tmp_path,
+                                                   name, value):
+    out = tmp_path / "x"
+    res = runner.invoke(main, command_args(name, config_file)
+                        + ["--threads", value, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--threads" in res.output
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_writes_reports(self, runner, config_file, tmp_path):
         out = tmp_path / "r"
@@ -31,6 +74,7 @@ class TestSimulate:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         summary = json.loads((out / "simulate_summary.json").read_text())
+        assert set(summary["summary"]) == SUMMARY_KEYS
         assert summary["summary"]["n"] == 5
         assert summary["manifest"]["command"] == "simulate"
         csv_lines = (out / "simulate_replications.csv").read_text().splitlines()
@@ -119,6 +163,12 @@ class TestTable5:
         assert "first_minus_last_halfwidth_crn" in footer
         assert "sum_of_level_differences" in footer
         table = json.loads((out / "table5.json").read_text())["table"]
+        assert set(table) == {"rows", "first_minus_last_halfwidth_default_stream",
+                              "first_minus_last_halfwidth_crn",
+                              "sum_of_level_differences", "confidence"}
+        for row in table["rows"]:
+            assert set(row) == {"replications", "halfwidth_default_stream",
+                                "halfwidth_crn", "difference"}
         assert [r["replications"] for r in table["rows"]] == [5, 10, 20]
 
     def test_single_level(self, runner, config_file, tmp_path):
@@ -156,6 +206,7 @@ class TestCompare:
                                    "--both", "--out", str(out)])
         assert res.exit_code == 0, res.output
         report = json.loads((out / "compare.json").read_text())
+        assert set(report["requested"]) == set(report["other_mode"]) == PAIRED_KEYS
         assert report["requested"]["crn"] is True
         assert report["other_mode"]["crn"] is False
         assert report["var_diff_ratio_crn_over_independent"] < 1.0
@@ -200,6 +251,11 @@ class TestOptimize:
         ])
         assert res.exit_code == 0, res.output
         summary = json.loads((out / "optimize_summary.json").read_text())
+        assert set(summary["result"]) == {"best_point", "best_value", "best_found_at",
+                                          "evaluations_used", "crn", "reps_per_eval",
+                                          "seed"}
+        assert set(summary["result"]["best_point"]) == {"dispensers", "operatives"}
+        assert set(summary["validation"]) == {"reps", "mean", "half_width"}
         assert summary["validation"]["reps"] == 4
         assert summary["validation"]["mean"] > 0
 
@@ -227,6 +283,9 @@ class TestPrecision:
                                    "--n0", "3", "--out", str(out)])
         assert res.exit_code == 0, res.output
         report = json.loads((out / "precision.json").read_text())
+        assert set(report["result"]) == {"target_half_width", "achieved", "n_used",
+                                         "final"}
+        assert set(report["result"]["final"]) == SUMMARY_KEYS
         assert report["result"]["achieved"] is True
         assert report["result"]["n_used"] == 3
 

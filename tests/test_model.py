@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,7 +89,10 @@ def field_paths(data, prefix=""):
     (field, value)
     for field in field_paths(PAPER)
     for value in HOSTILE + ([1e-9] if field.endswith(".mean") else [])
-] + [(field, HUGE) for field in field_paths(PAPER)])
+] + [(field, HUGE) for field in field_paths(PAPER)] + [
+    (field, {"kind": "triangular", "min": 5.0, "mode": 5.0, "max": 5.0})
+    for field in ("manual_service", "auto_service")  # degenerate triangle
+])
 def test_hostile_value_named_or_runs(field, value, with_field):
     """Every accepted config runs to a finite cost; every rejected one names
     the field."""
@@ -354,3 +358,13 @@ class TestReplicationRuns:
         serial = run_replications(fast_config, 6, range(4), threads=1)
         parallel = run_replications(fast_config, 6, range(4), threads=2)
         assert serial == parallel
+
+    def test_worker_pool_capped_at_usable_cpus(self, monkeypatch):
+        # records the size of the pool it would start; starts no process
+        requested = []
+        monkeypatch.setattr(model_mod, "ProcessPoolExecutor",
+                            lambda max_workers: requested.append(max_workers))
+        model_mod.worker_pool(10**6)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        assert requested == ([cpus] if cpus > 1 else [])  # one CPU runs in process

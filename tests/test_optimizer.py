@@ -10,7 +10,6 @@ from crossdock_sim import (
     DecisionPoint,
     OptimizationProblem,
     brute_force_optimum,
-    evaluate,
     neighbors,
     optimize,
 )
@@ -18,7 +17,6 @@ from crossdock_sim.analysis import summarize
 from crossdock_sim.model import ClassRates, CostRates, ResourceLayout, run_replications
 from crossdock_sim.optimizer import (
     _RESTART_TAG,
-    DEFAULT_BOUNDS,
     Evaluation,
     Evaluator,
     OptimizationTrace,
@@ -67,7 +65,7 @@ class TestEvaluate:
 
     def test_mean_is_arithmetic_mean_of_replications(self, problem):
         point = DecisionPoint(2, 2)
-        mean, half_width = evaluate(point, problem)
+        mean, half_width = Evaluator(problem).evaluate(point)
         outs = run_replications(
             problem.base_config.with_crn_mode("dedicated_streams"),
             problem.seed,
@@ -88,9 +86,9 @@ class TestEvaluate:
 
     def test_out_of_bounds_rejected(self, problem):
         with pytest.raises(ConfigurationError):
-            evaluate(DecisionPoint(4, 1), problem)
+            Evaluator(problem).evaluate(DecisionPoint(4, 1))
         with pytest.raises(ConfigurationError):
-            evaluate(DecisionPoint(0, 1), problem)
+            Evaluator(problem).evaluate(DecisionPoint(0, 1))
 
     def test_problem_validation(self, fast_config):
         bad = OptimizationProblem(fast_config, Bounds(2, 2), reps_per_eval=1,
@@ -198,13 +196,13 @@ def expected_trace(order, value) -> OptimizationTrace:
 
 
 def assert_search_matches_sequential_reference(config, crn, threads):
-    base = OptimizationProblem(config, DEFAULT_BOUNDS, reps_per_eval=2,
+    base = OptimizationProblem(config, Bounds(6, 4), reps_per_eval=2,
                                budget=1, crn=crn, seed=3)
     values = {}
 
     def value(point):  # one point at a time, in process, memoised over budgets
         if point not in values:
-            values[point] = evaluate(point, base)
+            values[point] = Evaluator(base).evaluate(point)
         return values[point]
 
     for budget in range(1, 31):
