@@ -58,8 +58,6 @@ def handles_errors(func):
         except (ConfigurationError, ComparisonError, InsufficientDataError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except click.ClickException:
-            raise
         except Exception as exc:  # noqa: BLE001 - boundary of the CLI
             click.echo(f"runtime error: {exc}", err=True)
             sys.exit(3)
@@ -116,7 +114,8 @@ def simulate(config_path, seed, reps, confidence, event_log, out, threads):
         {"config": config.to_dict(), "reps": reps, "confidence": confidence},
         outputs,
     )
-    results = run_replications(config, seed, range(reps), threads=threads)
+    results = run_replications(config, seed, range(reps), threads=threads,
+                               collect_log=event_log)
     stats = summarize([r.total_usage_cost for r in results], confidence)
 
     directory = out_dir(out)
@@ -133,18 +132,11 @@ def simulate(config_path, seed, reps, confidence, event_log, out, threads):
         manifest,
     )
     if event_log:
-        from .model import run_replication
-
-        rows = []
-        for i in range(reps):
-            logged = run_replication(config, seed, i, collect_log=True)
-            for time, kind, eid, pool, qlen, busy in logged.log:
-                rows.append((i, time, kind, eid, pool, qlen, busy))
         write_csv(
             directory / "simulate_events.csv",
             ["replication", "time", "event_kind", "entity_id", "pool",
              "queue_len", "busy_units"],
-            rows,
+            [(i, *row) for i, r in enumerate(results) for row in r.log],
             manifest,
         )
     click.echo(f"mean {stats.mean:.2f}  half_width {stats.half_width:.2f}  n {stats.n}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -48,11 +47,13 @@ CRN_MODES = ("default_stream", "dedicated_streams")
 # replication, so it is rejected as a mistake rather than run.
 MAX_EXPECTED_ARRIVALS = 1e7
 
-# The largest charge one pool may accrue in a run: busy or idle rate x
-# capacity x horizon for time, per_use x max(1, expected arrivals) for
-# grants. It is far enough below the largest float that the sum over all
-# pools, and grant counts far above their mean, keep the cost finite.
-MAX_CHARGE = 1e300
+# Upper bounds of every real-valued field and of every unit count. A
+# pool's charge is then at most rate x units x horizon = 1e100 x 1e5 x
+# 1e100 ~ 1e205 (and per_use x arrivals far less), so Total Usage Cost
+# stays finite; a triangle's (max - min)^2 is at most 1e200; and setting
+# up a pool of 1e5 units takes well under a second.
+MAX_VALUE = 1e100
+MAX_UNITS = 10**5
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -93,33 +94,28 @@ class CostRates:
 
 @dataclass(frozen=True)
 class Number:
-    """A numeric config field: a finite JSON number, never a bool or a
-    string, within [low, high]; `positive` excludes low itself."""
+    """A numeric config field: a JSON number, never a bool or a string,
+    within [low, high]; `positive` excludes low itself."""
 
     integer: bool = False
     low: float = 0.0
-    high: float = math.inf
+    high: float = MAX_VALUE
     positive: bool = False
 
     def problem(self, value) -> str | None:
         """What is wrong with `value` for this field, or None."""
-        # abs() <= max, unlike math.isfinite, cannot overflow on a huge int,
-        # and it keeps float() below from overflowing too
-        if (isinstance(value, bool)
-                or not isinstance(value, int if self.integer else (int, float))
-                or not abs(value) <= sys.float_info.max):
-            return "must be an integer" if self.integer else "must be a finite number"
+        if isinstance(value, bool) or not isinstance(value, int if self.integer else (int, float)):
+            return "must be an integer" if self.integer else "must be a number"
+        # False for nan and inf; exact for ints of any size
         if self.low <= value <= self.high and not (self.positive and value == self.low):
             return None
-        if self.high < math.inf:
-            return f"must be in [{self.low:g}, {self.high:g}]"
-        return f"must be {'>' if self.positive else '>='} {self.low:g}"
+        return f"must be in {'(' if self.positive else '['}{self.low:g}, {self.high:g}]"
 
 
 _REAL = Number()
 _POSITIVE = Number(positive=True)
 _PROBABILITY = Number(high=1.0)
-_COUNT = Number(integer=True)
+_COUNT = Number(integer=True, high=MAX_UNITS)
 _TRIANGULAR = {"kind": ("triangular",), "min": _REAL, "mode": _REAL, "max": _REAL}
 _RATES = {"busy_rate": _REAL, "idle_rate": _REAL, "per_use": _REAL}
 _DISTRIBUTIONS = ("arrival", "manual_service", "auto_service")
@@ -173,35 +169,6 @@ def _check(schema, value, path: str, problems: list):
     return value if schema.integer else float(value)
 
 
-_COUNT_FIELDS = {"skilled": "skilled_per_point", "unskilled": "unskilled_per_point",
-                 "dispenser": "dispensers_per_point"}
-
-
-def _charge_problems(rates: dict, capacity: dict, horizon, arrivals) -> list[str]:
-    """One message per cost rate whose charge over a run can pass MAX_CHARGE.
-
-    `rates` maps each resource class to its rates and `capacity` to its
-    units at one point; `arrivals` is the expected arrival count. None
-    marks a value already reported as bad, and its charges are skipped.
-    """
-    problems = []
-    for cls, count in _COUNT_FIELDS.items():
-        for name, rate in (rates.get(cls) or {}).items():
-            if name == "per_use":
-                factors = (None if arrivals is None else max(1.0, arrivals),)
-                fields = "horizon, arrival.mean"
-            else:
-                factors, fields = (capacity.get(cls), horizon), f"{count}, horizon"
-            if rate is None or None in factors:
-                continue
-            # rate first, so a zero rate gives 0, never 0 x inf
-            charge = math.prod((rate, *factors))
-            if not charge <= MAX_CHARGE:
-                problems.append(f"cost_rates.{cls}.{name}, {fields}: one pool can be "
-                                f"charged {charge:.3g} in a run, more than {MAX_CHARGE:g}")
-    return problems
-
-
 def _parse(data) -> tuple[dict, list[str]]:
     """Check a config dict field by field, then the rules that join fields.
     Returns the checked dict and every problem found."""
@@ -215,19 +182,12 @@ def _parse(data) -> tuple[dict, list[str]]:
         if not (low <= mode <= high and low < high):
             problems.append(f"{name}.min, {name}.mode, {name}.max: triangular needs "
                             "min <= mode <= max with min < max")
-        elif not math.isfinite((high - low) * (high - low)):
-            # the inverse CDF multiplies the width by itself
-            problems.append(f"{name}.min, {name}.max: (max - min)^2 overflows; "
-                            "max - min must be below 1.3e154")
     mean = (checked.get("arrival") or {}).get("mean")
     horizon = checked.get("horizon")
     arrivals = horizon / mean if mean and horizon else None
     if arrivals and arrivals > MAX_EXPECTED_ARRIVALS:
         problems.append(f"arrival.mean, horizon: horizon / arrival.mean expects "
                         f"{arrivals:.3g} arrivals, more than {MAX_EXPECTED_ARRIVALS:g}")
-    problems += _charge_problems(checked.get("cost_rates") or {},
-                                 {c: checked.get(f) for c, f in _COUNT_FIELDS.items()},
-                                 horizon, arrivals)
     return checked, problems
 
 
@@ -534,6 +494,8 @@ def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> Cr
     if layout is None and not problems:
         layout = ResourceLayout.symmetric(config)
     if layout is not None and not problems:
+        problems += [f"layout.{name}: {problem}" for name, count in vars(layout).items()
+                     if (problem := _COUNT.problem(count))]
         if config.p_auto > 0 and layout.dispenser_total() == 0:
             problems.append(
                 "dispensers_per_point: automated orders have positive probability "
@@ -544,10 +506,6 @@ def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> Cr
                 "skilled_per_point, unskilled_per_point: manual orders have positive "
                 "probability but no operative exists at any point"
             )
-        problems += _charge_problems(
-            {c: vars(config.cost_rates.for_class(c)) for c in RESOURCE_CLASSES},
-            {c: max(layout.capacity(c, p) for p in POINTS) for c in RESOURCE_CLASSES},
-            config.horizon, config.horizon / config.arrival.mean)
     if problems:
         raise ConfigurationError("config: " + "; ".join(problems))
     return CrossdockModel(config, layout)
@@ -557,8 +515,6 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
                     layout: ResourceLayout | None = None,
                     collect_log: bool = False) -> ReplicationOutput:
     """One terminating replication; a pure function of its arguments."""
-    if replication_index < 0:
-        raise ConfigurationError("replication_index must be >= 0")
     return build_model(config, layout).run(master_seed, replication_index, collect_log)
 
 
@@ -581,7 +537,8 @@ def worker_pool(threads: int, executor=None):
 
 
 def run_batch(tasks, threads: int = 1, executor=None) -> list:
-    """Run replication tasks, each `(config, master_seed, index, layout)`.
+    """Run replication tasks, each `(config, master_seed, index, layout)`,
+    optionally followed by `collect_log`: the arguments of `run_replication`.
 
     They run in `executor`'s workers when one is given, else in a pool of
     `threads` workers started for this batch alone, else (threads <= 1 or
@@ -600,8 +557,8 @@ def run_batch(tasks, threads: int = 1, executor=None) -> list:
 
 def run_replications(config: ModelConfig, master_seed: int, indices,
                      layout: ResourceLayout | None = None,
-                     threads: int = 1, executor=None) -> list:
+                     threads: int = 1, executor=None, collect_log: bool = False) -> list:
     """Run replications `indices` of one config and layout as one batch;
     see `run_batch` for where they run."""
-    return run_batch([(config, master_seed, i, layout) for i in indices],
+    return run_batch([(config, master_seed, i, layout, collect_log) for i in indices],
                      threads, executor)

@@ -22,6 +22,10 @@ from .errors import ConfigurationError
 from .model import ModelConfig, ResourceLayout, run_batch, run_replications, worker_pool
 from .rng import derive_master_seed
 
+# The largest decision grid a problem may span: its points are built as a
+# list, and a grid layout then holds at most 5,000 units per class and point.
+MAX_GRID_POINTS = 10_000
+
 _RESTART_TAG = 0x5EED
 _POINT_SEED_TAG = 0xCAFE
 
@@ -65,6 +69,11 @@ class OptimizationProblem:
             raise ConfigurationError("reps_per_eval must be >= 2")
         if self.bounds.dispenser_max < 1 or self.bounds.operative_max < 1:
             raise ConfigurationError("bounds must allow at least one point")
+        points = self.bounds.dispenser_max * self.bounds.operative_max
+        if points > MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"dispenser_max x operative_max = {points} points, more than "
+                f"{MAX_GRID_POINTS}")
 
 
 class Evaluation(NamedTuple):
@@ -244,10 +253,6 @@ def brute_force_optimum(problem: OptimizationProblem) -> tuple[DecisionPoint, fl
     replication outputs held at once."""
     problem.validate()
     space = problem.bounds.all_points()
-    if len(space) > 10_000:
-        raise ConfigurationError(
-            f"feasible space of {len(space)} points exceeds the brute-force guard"
-        )
     row = problem.bounds.operative_max
     values = []
     with worker_pool(problem.threads) as pool:

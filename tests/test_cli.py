@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from crossdock_sim import cli
 from crossdock_sim.cli import main
+from crossdock_sim.model import CrossdockModel
 
 
 @pytest.fixture
@@ -89,13 +91,14 @@ class TestSimulate:
             assert res.exit_code == 0, res.output
         assert read_all(a) == read_all(b)
 
-    def test_threads_do_not_change_bytes(self, runner, config_file, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--event-log"]], ids=["plain", "event_log"])
+    def test_threads_do_not_change_bytes(self, runner, config_file, tmp_path, extra):
         a, b = tmp_path / "a", tmp_path / "b"
         res = runner.invoke(main, ["simulate", config_file, "--reps", "4",
-                                   "--out", str(a), "--threads", "1"])
+                                   "--out", str(a), "--threads", "1", *extra])
         assert res.exit_code == 0, res.output
         res = runner.invoke(main, ["simulate", config_file, "--reps", "4",
-                                   "--out", str(b), "--threads", "3"])
+                                   "--out", str(b), "--threads", "3", *extra])
         assert res.exit_code == 0, res.output
         assert read_all(a) == read_all(b)
 
@@ -129,6 +132,22 @@ class TestSimulate:
         assert res.exit_code == 2
         assert field in res.output
 
+    def test_unreadable_config(self, runner, tmp_path):
+        res = runner.invoke(main, ["simulate", str(tmp_path / "missing.json"),
+                                   "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+        assert "cannot read config" in res.output
+
+    def test_runtime_error_exits_3(self, runner, config_file, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("worker died")
+
+        monkeypatch.setattr(cli, "run_replications", fail)
+        res = runner.invoke(main, ["simulate", config_file, "--reps", "3",
+                                   "--out", str(tmp_path / "x")])
+        assert res.exit_code == 3
+        assert "runtime error: worker died" in res.output
+
     def test_malformed_json(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -145,6 +164,21 @@ class TestSimulate:
         assert lines[1] == ("replication,time,event_kind,entity_id,pool,"
                             "queue_len,busy_units")
         assert len(lines) > 10
+
+    def test_event_log_runs_each_replication_once(self, runner, config_file, tmp_path,
+                                                  monkeypatch):
+        runs = []
+        original = CrossdockModel.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CrossdockModel, "run", counted)
+        res = runner.invoke(main, ["simulate", config_file, "--reps", "3", "--event-log",
+                                   "--out", str(tmp_path / "r")])
+        assert res.exit_code == 0, res.output
+        assert len(runs) == 3
 
 
 class TestTable5:
@@ -183,6 +217,12 @@ class TestTable5:
         res = runner.invoke(main, ["table5", config_file, "--levels", "20,10",
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    def test_non_integer_levels_rejected(self, runner, config_file, tmp_path):
+        res = runner.invoke(main, ["table5", config_file, "--levels", "5,x",
+                                   "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+        assert "--levels must be integers" in res.output
 
 
 class TestCompare:
@@ -275,6 +315,21 @@ class TestOptimize:
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
 
+    def test_validate_reps_one_rejected(self, runner, config_file, tmp_path):
+        res = runner.invoke(main, ["optimize", config_file, "--validate-reps", "1",
+                                   "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2
+        assert "--validate-reps" in res.output
+
+    def test_grid_over_limit_rejected_before_running(self, runner, config_file, tmp_path):
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["optimize", config_file, "--dispenser-max", "200",
+                                   "--operative-max", "100", "--budget", "1", "--reps", "2",
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "dispenser_max x operative_max" in res.output
+        assert not out.exists()
+
 
 class TestPrecision:
     def test_huge_target(self, runner, config_file, tmp_path):
@@ -297,3 +352,8 @@ class TestPrecision:
         report = json.loads((out / "precision.json").read_text())
         assert report["result"]["achieved"] is False
         assert report["result"]["n_used"] == 6
+
+    def test_target_zero_rejected(self, runner, config_file, tmp_path):
+        res = runner.invoke(main, ["precision", config_file, "--target", "0",
+                                   "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2

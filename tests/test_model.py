@@ -63,6 +63,25 @@ class TestConfigParsing:
         text = "; ".join(problems)
         assert "p_auto" in text and "horizon" in text and "unskilled_factor" in text
 
+    @pytest.mark.parametrize("field,value", [
+        ("dispensers_per_point", 10**8),
+        ("skilled_per_point", model_mod.MAX_UNITS + 1),
+        ("cost_rates.skilled.idle_rate", 1e101),
+        ("unskilled_factor", 1e101),
+        ("manual_service.max", 1e101),
+    ])
+    def test_value_above_its_bound_named(self, paper_config, with_field, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field}: must be in"):
+            ModelConfig.from_dict(with_field(paper_config.to_dict(), field, value))
+
+    def test_values_at_their_bounds_run_to_finite_cost(self, paper_config, with_field):
+        data = {**paper_config.to_dict(), "horizon": 60.0,
+                "dispensers_per_point": model_mod.MAX_UNITS}
+        for rate in ("busy_rate", "idle_rate", "per_use"):
+            data = with_field(data, f"cost_rates.dispenser.{rate}", model_mod.MAX_VALUE)
+        out = run_replication(ModelConfig.from_dict(data), 1, 0)
+        assert math.isfinite(out.total_usage_cost)
+
     def test_bad_crn_mode(self, paper_config):
         data = paper_config.to_dict()
         data["crn_mode"] = "sometimes"
@@ -151,13 +170,26 @@ class TestBuildModel:
             build_model(cfg)
 
     def test_layout_whose_cost_overflows_is_error(self, paper_config):
-        # 1e295 x 1 x 28800 passes for the config's own layout; 10**6 dispensers do not
+        # a rate above MAX_VALUE, and a layout count above MAX_UNITS, are
+        # rejected by name, so no accepted layout's cost can overflow
         cfg = replace(paper_config, cost_rates=replace(
             paper_config.cost_rates,
             dispenser=replace(paper_config.cost_rates.dispenser, idle_rate=1e295)))
-        build_model(cfg)
         with pytest.raises(ConfigurationError, match="cost_rates.dispenser.idle_rate"):
-            build_model(cfg, replace(ResourceLayout.symmetric(cfg), dispensers_B=10**6))
+            build_model(cfg)
+        with pytest.raises(ConfigurationError, match="layout.dispensers_B"):
+            build_model(paper_config,
+                        replace(ResourceLayout.symmetric(paper_config), dispensers_B=10**6))
+
+    @pytest.mark.parametrize("count", [-1, 1.5, True])
+    def test_layout_count_outside_schema_named(self, paper_config, count):
+        layout = replace(ResourceLayout.symmetric(paper_config), skilled_A=count)
+        with pytest.raises(ConfigurationError, match="layout.skilled_A"):
+            build_model(paper_config, layout)
+
+    def test_negative_replication_index_rejected(self, fast_config):
+        with pytest.raises(ConfigurationError, match="replication_index"):
+            run_replication(fast_config, 1, -1)
 
     def test_direct_run_rejects_bad_config(self, fast_config):
         run_replication(fast_config, 1, 0)  # the valid config's check is now cached

@@ -154,6 +154,11 @@ class TestBruteForce:
         with pytest.raises(ConfigurationError):
             brute_force_optimum(replace(problem, bounds=Bounds(200, 100)))
 
+    def test_grid_limit_checked_before_any_grid_is_built(self, problem):
+        # 10**12 points: validate() must refuse without building them
+        with pytest.raises(ConfigurationError, match="dispenser_max x operative_max"):
+            replace(problem, bounds=Bounds(10**6, 10**6)).validate()
+
 
 def sequential_search(problem, value):
     """Reference tabu search, one point at a time, as it ran before
