@@ -26,7 +26,6 @@ from .errors import (
 )
 from .model import (
     CostRates,
-    DistributionSpec,
     ModelConfig,
     ReplicationOutput,
     ResourceLayout,

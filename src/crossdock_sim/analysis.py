@@ -97,7 +97,7 @@ def replicate_to_precision(config: ModelConfig, seed: int, confidence: float,
         raise ConfigurationError("n0 must be >= 2")
     if n_max < n0:
         raise ConfigurationError("n_max must be >= n0")
-    if target_half_width <= 0:
+    if not target_half_width > 0:  # False for nan too
         raise ConfigurationError("target half width must be > 0")
 
     costs: list[float] = []
@@ -146,41 +146,46 @@ def check_comparable(config_a: ModelConfig, config_b: ModelConfig) -> None:
         )
 
 
-def paired_comparison(config_a: ModelConfig, config_b: ModelConfig, n: int,
-                      crn: bool, seed: int, confidence: float = 0.95,
-                      threads: int = 1, executor=None) -> PairedResult:
-    """Compare two configurations replication-by-replication.
+def paired_comparisons(config_a: ModelConfig, config_b: ModelConfig, n: int,
+                       crn_modes, seed: int, confidence: float = 0.95,
+                       threads: int = 1) -> list[PairedResult]:
+    """Compare two configurations replication-by-replication, once for each
+    of `crn_modes`.
 
     With crn, replication i of both configs uses identical stream keys;
-    without, config B runs in a disjoint seed-derived key space. Both arms
-    run as one batch, on `executor` if given.
+    without, config B runs in a disjoint seed-derived key space. Config A
+    runs once, shared by every mode, in one batch with B's runs.
     """
     if n < 2:
         raise ConfigurationError("n must be >= 2")
     check_comparable(config_a, config_b)
-    seed_b = seed if crn else derive_master_seed(seed, _INDEPENDENT_ARM_TAG)
+    seeds_b = [seed if crn else derive_master_seed(seed, _INDEPENDENT_ARM_TAG)
+               for crn in crn_modes]
     outs = run_batch([(config_a, seed, i, None) for i in range(n)]
-                     + [(config_b, seed_b, i, None) for i in range(n)],
-                     threads, executor)
-    costs_a = [o.total_usage_cost for o in outs[:n]]
-    costs_b = [o.total_usage_cost for o in outs[n:]]
-
+                     + [(config_b, seed_b, i, None) for seed_b in seeds_b for i in range(n)],
+                     threads)
+    costs_a, *costs_b_by_mode = ([o.total_usage_cost for o in outs[k:k + n]]
+                                 for k in range(0, len(outs), n))
     stats_a = summarize(costs_a, confidence)
-    stats_b = summarize(costs_b, confidence)
-    stats_diff = summarize([a - b for a, b in zip(costs_a, costs_b)], confidence)
-    cov = math.fsum(
-        (a - stats_a.mean) * (b - stats_b.mean) for a, b in zip(costs_a, costs_b)
-    ) / (n - 1)
-    return PairedResult(
-        n=n,
-        mean_diff=stats_a.mean - stats_b.mean,
-        var_a=stats_a.sd ** 2,
-        var_b=stats_b.sd ** 2,
-        var_diff=stats_diff.sd ** 2,
-        covariance=cov,
-        half_width_diff=stats_diff.half_width,
-        crn=crn,
-    )
+    results = []
+    for crn, costs_b in zip(crn_modes, costs_b_by_mode):
+        stats_b = summarize(costs_b, confidence)
+        stats_diff = summarize([a - b for a, b in zip(costs_a, costs_b)], confidence)
+        cov = math.fsum(
+            (a - stats_a.mean) * (b - stats_b.mean) for a, b in zip(costs_a, costs_b)
+        ) / (n - 1)
+        results.append(PairedResult(
+            n=n, mean_diff=stats_a.mean - stats_b.mean, var_a=stats_a.sd ** 2,
+            var_b=stats_b.sd ** 2, var_diff=stats_diff.sd ** 2, covariance=cov,
+            half_width_diff=stats_diff.half_width, crn=crn))
+    return results
+
+
+def paired_comparison(config_a: ModelConfig, config_b: ModelConfig, n: int,
+                      crn: bool, seed: int, confidence: float = 0.95,
+                      threads: int = 1) -> PairedResult:
+    """`paired_comparisons` in one mode."""
+    return paired_comparisons(config_a, config_b, n, (crn,), seed, confidence, threads)[0]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import click
 
 from .analysis import (
     halfwidth_table,
-    paired_comparison,
+    paired_comparisons,
     replicate_to_precision,
     summarize,
 )
@@ -32,7 +32,6 @@ from .errors import (
 from .model import ModelConfig, run_replications, worker_pool
 from .optimizer import (
     Bounds,
-    DecisionPoint,
     Evaluator,
     OptimizationProblem,
     optimize as run_optimize,
@@ -71,9 +70,17 @@ def out_dir(path: str) -> Path:
     return p
 
 
-seed_option = click.option("--seed", default=12345, show_default=True, type=int)
+def reject_nan(ctx, param, value):
+    """Option callback: NaN passes every range test, so reject it here."""
+    if math.isnan(value):
+        raise click.BadParameter("must not be NaN")
+    return value
+
+
+seed_option = click.option("--seed", default=12345, show_default=True,
+                           type=click.IntRange(min=0))
 confidence_option = click.option(
-    "--confidence", default=0.95, show_default=True,
+    "--confidence", default=0.95, show_default=True, callback=reject_nan,
     type=click.FloatRange(0, 1, min_open=True, max_open=True),
 )
 threads_option = click.option(
@@ -219,19 +226,15 @@ def compare(config_a, config_b, reps, crn, both, seed, confidence, out, threads)
         },
         ["compare.json"],
     )
-    with worker_pool(threads) as pool:
-        result = paired_comparison(cfg_a, cfg_b, reps, crn, seed, confidence,
-                                   threads=threads, executor=pool)
-        payload = {"manifest": manifest, "requested": result}
-        if both:
-            other = paired_comparison(cfg_a, cfg_b, reps, not crn, seed, confidence,
-                                      threads=threads, executor=pool)
-            payload["other_mode"] = other
-            crn_var = result.var_diff if crn else other.var_diff
-            ind_var = other.var_diff if crn else result.var_diff
-            payload["var_diff_ratio_crn_over_independent"] = (
-                crn_var / ind_var if ind_var > 0 else None
-            )
+    modes = (crn, not crn) if both else (crn,)
+    result, *other = paired_comparisons(cfg_a, cfg_b, reps, modes, seed, confidence,
+                                        threads)
+    payload = {"manifest": manifest, "requested": result}
+    if other:
+        var = {r.crn: r.var_diff for r in (result, *other)}
+        payload["other_mode"] = other[0]
+        payload["var_diff_ratio_crn_over_independent"] = (
+            var[True] / var[False] if var[False] > 0 else None)
     write_json(out_dir(out) / "compare.json", payload)
     click.echo(
         f"mean_diff {result.mean_diff:.2f}  var_diff {result.var_diff:.2f}  "
@@ -310,7 +313,7 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
 
 @main.command()
 @click.argument("config_path", metavar="CONFIG")
-@click.option("--target", required=True, type=float,
+@click.option("--target", required=True, type=float, callback=reject_nan,
               help="Target confidence-interval half width.")
 @click.option("--n0", default=10, show_default=True, type=int)
 @click.option("--n-max", default=10000, show_default=True, type=int)

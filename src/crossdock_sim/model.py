@@ -21,7 +21,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 from .errors import ConfigurationError
@@ -55,42 +55,6 @@ MAX_EXPECTED_ARRIVALS = 1e7
 MAX_VALUE = 1e100
 MAX_UNITS = 10**5
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Serializable description of a sampling distribution.
-
-    kind "exponential" uses `mean`; kind "triangular" uses `low`, `mode`,
-    `high`, which are `min`, `mode`, `max` in JSON.
-    """
-
-    kind: str
-    mean: float | None = None
-    low: float | None = None
-    mode: float | None = None
-    high: float | None = None
-
-    def to_dict(self) -> dict:
-        if self.kind == "exponential":
-            return {"kind": "exponential", "mean": self.mean}
-        return {"kind": "triangular", "min": self.low, "mode": self.mode, "max": self.high}
-
-
-@dataclass(frozen=True)
-class ClassRates:
-    busy_rate: float  # currency per busy unit-hour
-    idle_rate: float  # currency per idle unit-hour
-    per_use: float  # currency per grant
-
-
-@dataclass(frozen=True)
-class CostRates:
-    skilled: ClassRates
-    unskilled: ClassRates
-    dispenser: ClassRates
-
-    def for_class(self, resource_class: str) -> ClassRates:
-        return getattr(self, resource_class)
-
 
 @dataclass(frozen=True)
 class Number:
@@ -116,64 +80,90 @@ _REAL = Number()
 _POSITIVE = Number(positive=True)
 _PROBABILITY = Number(high=1.0)
 _COUNT = Number(integer=True, high=MAX_UNITS)
-_TRIANGULAR = {"kind": ("triangular",), "min": _REAL, "mode": _REAL, "max": _REAL}
-_RATES = {"busy_rate": _REAL, "idle_rate": _REAL, "per_use": _REAL}
-_DISTRIBUTIONS = ("arrival", "manual_service", "auto_service")
-
-# The config file's schema. A dict is a JSON object with exactly these
-# keys, a tuple lists the strings a field may take, a Number is a numeric
-# field. Parsing, validate() and to_dict() all read it; its key order is
-# the order of to_dict().
-CONFIG_SCHEMA = {
-    "arrival": {"kind": ("exponential",), "mean": _POSITIVE},
-    "manual_service": _TRIANGULAR,
-    "auto_service": _TRIANGULAR,
-    "unskilled_factor": Number(low=1.0),
-    "p_auto": _PROBABILITY,
-    "p_point_A": _PROBABILITY,
-    "skilled_per_point": _COUNT,
-    "unskilled_per_point": _COUNT,
-    "dispensers_per_point": _COUNT,
-    "cost_rates": {c: _RATES for c in RESOURCE_CLASSES},
-    "horizon": _POSITIVE,
-    "crn_mode": CRN_MODES,
-}
 
 
-def _check(schema, value, path: str, problems: list):
-    """Check `value` against `schema`, appending one message per bad field,
-    named by its dotted path. Returns the value with JSON integers turned
-    to floats in real-valued fields, or None where it is bad."""
+def _rule(rule):
+    """A config field that accepts what `rule` allows: a Number, a tuple of
+    the strings the field may take, or a config dataclass (a JSON object
+    with exactly its fields). The field's name is its JSON key."""
+    return field(metadata={"rule": rule})
+
+
+@dataclass(frozen=True)
+class Exponential:
+    kind: str = _rule(("exponential",))
+    mean: float = _rule(_POSITIVE)
+
+
+@dataclass(frozen=True)
+class Triangular:
+    kind: str = _rule(("triangular",))
+    min: float = _rule(_REAL)
+    mode: float = _rule(_REAL)
+    max: float = _rule(_REAL)
+
+
+@dataclass(frozen=True)
+class ClassRates:
+    busy_rate: float = _rule(_REAL)  # currency per busy unit-hour
+    idle_rate: float = _rule(_REAL)  # currency per idle unit-hour
+    per_use: float = _rule(_REAL)  # currency per grant
+
+
+@dataclass(frozen=True)
+class CostRates:
+    skilled: ClassRates = _rule(ClassRates)
+    unskilled: ClassRates = _rule(ClassRates)
+    dispenser: ClassRates = _rule(ClassRates)
+
+    def for_class(self, resource_class: str) -> ClassRates:
+        return getattr(self, resource_class)
+
+
+def _check(rule, value, path: str, problems: list):
+    """Check `value` against `rule`, appending one message per bad field,
+    named by its dotted path. Returns the value, as dicts for objects and
+    with JSON integers turned to floats in real-valued fields, or None
+    where it is bad."""
     at = f"{path}: " if path else ""
-    if isinstance(schema, dict):
+    if isinstance(rule, type):  # a config dataclass; Number is an instance
         if not isinstance(value, dict):
             problems.append(f"{at}expected an object")
             return None
-        unknown = set(value) - set(schema)
+        names = {f.name for f in fields(rule)}
+        unknown = set(value) - names
         if unknown:
             problems.append(f"{at}unknown fields {sorted(unknown)}")
-        missing = set(schema) - set(value)
+        missing = names - set(value)
         if missing:
             problems.append(f"{at}missing fields {sorted(missing)}")
-        return {key: _check(sub, value[key], f"{path}.{key}" if path else key, problems)
-                for key, sub in schema.items() if key in value}
-    if isinstance(schema, tuple):
-        if value in schema:
+        return {f.name: _check(f.metadata["rule"], value[f.name],
+                               f"{path}.{f.name}" if path else f.name, problems)
+                for f in fields(rule) if f.name in value}
+    if isinstance(rule, tuple):
+        if value in rule:
             return value
-        problems.append(f"{at}must be one of {schema}")
+        problems.append(f"{at}must be one of {rule}")
         return None
-    problem = schema.problem(value)
+    problem = rule.problem(value)
     if problem:
         problems.append(at + problem)
         return None
-    return value if schema.integer else float(value)
+    return value if rule.integer else float(value)
+
+
+def _build(rule, value):
+    """A value that `_check` passed, its objects made config dataclasses."""
+    if not isinstance(rule, type):
+        return value
+    return rule(**{f.name: _build(f.metadata["rule"], value[f.name]) for f in fields(rule)})
 
 
 def _parse(data) -> tuple[dict, list[str]]:
     """Check a config dict field by field, then the rules that join fields.
     Returns the checked dict and every problem found."""
     problems = []
-    checked = _check(CONFIG_SCHEMA, data, "", problems) or {}
+    checked = _check(ModelConfig, data, "", problems) or {}
     for name in ("manual_service", "auto_service"):
         tri = checked.get(name) or {}
         low, mode, high = (tri.get(key) for key in ("min", "mode", "max"))
@@ -197,21 +187,22 @@ class ModelConfig:
 
     Times are simulation minutes; rates are currency per hour. The three
     *_per_point counts describe the symmetric baseline layout; the
-    optimizer overrides them with an explicit `ResourceLayout`.
+    optimizer overrides them with an explicit `ResourceLayout`. The
+    fields and their rules are the config file's schema.
     """
 
-    arrival: DistributionSpec
-    manual_service: DistributionSpec
-    auto_service: DistributionSpec
-    unskilled_factor: float
-    p_auto: float
-    p_point_A: float
-    skilled_per_point: int
-    unskilled_per_point: int
-    dispensers_per_point: int
-    cost_rates: CostRates
-    horizon: float
-    crn_mode: str
+    arrival: Exponential = _rule(Exponential)
+    manual_service: Triangular = _rule(Triangular)
+    auto_service: Triangular = _rule(Triangular)
+    unskilled_factor: float = _rule(Number(low=1.0))
+    p_auto: float = _rule(_PROBABILITY)
+    p_point_A: float = _rule(_PROBABILITY)
+    skilled_per_point: int = _rule(_COUNT)
+    unskilled_per_point: int = _rule(_COUNT)
+    dispensers_per_point: int = _rule(_COUNT)
+    cost_rates: CostRates = _rule(CostRates)
+    horizon: float = _rule(_POSITIVE)
+    crn_mode: str = _rule(CRN_MODES)
 
     def validate(self) -> list[str]:
         """Every problem with this config, or []. Found once per config (it
@@ -223,11 +214,7 @@ class ModelConfig:
         return tuple(_parse(self.to_dict())[1])
 
     def to_dict(self) -> dict:
-        data = {name: getattr(self, name) for name in CONFIG_SCHEMA}
-        for name in _DISTRIBUTIONS:
-            data[name] = data[name].to_dict()
-        data["cost_rates"] = asdict(self.cost_rates)
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -236,13 +223,7 @@ class ModelConfig:
         checked, problems = _parse(data)
         if problems:
             raise ConfigurationError("config: " + "; ".join(problems))
-        for name in _DISTRIBUTIONS:
-            d = checked[name]
-            checked[name] = DistributionSpec(d["kind"], d.get("mean"), d.get("min"),
-                                             d.get("mode"), d.get("max"))
-        checked["cost_rates"] = CostRates(
-            **{c: ClassRates(**rates) for c, rates in checked["cost_rates"].items()})
-        return cls(**checked)
+        return _build(cls, checked)
 
     def with_crn_mode(self, crn_mode: str) -> "ModelConfig":
         return replace(self, crn_mode=crn_mode)
@@ -252,23 +233,18 @@ class ModelConfig:
 class ResourceLayout:
     """Per-point resource counts; may be asymmetric."""
 
-    skilled_A: int
-    skilled_B: int
-    unskilled_A: int
-    unskilled_B: int
-    dispensers_A: int
-    dispensers_B: int
+    skilled_A: int = _rule(_COUNT)
+    skilled_B: int = _rule(_COUNT)
+    unskilled_A: int = _rule(_COUNT)
+    unskilled_B: int = _rule(_COUNT)
+    dispensers_A: int = _rule(_COUNT)
+    dispensers_B: int = _rule(_COUNT)
 
     @classmethod
     def symmetric(cls, config: ModelConfig) -> "ResourceLayout":
-        return cls(
-            skilled_A=config.skilled_per_point,
-            skilled_B=config.skilled_per_point,
-            unskilled_A=config.unskilled_per_point,
-            unskilled_B=config.unskilled_per_point,
-            dispensers_A=config.dispensers_per_point,
-            dispensers_B=config.dispensers_per_point,
-        )
+        s, u, d = (config.skilled_per_point, config.unskilled_per_point,
+                   config.dispensers_per_point)
+        return cls(s, s, u, u, d, d)
 
     @classmethod
     def from_totals(cls, dispensers: int, operatives: int) -> "ResourceLayout":
@@ -289,8 +265,8 @@ class ResourceLayout:
         )
 
     def capacity(self, resource_class: str, point: str) -> int:
-        field = {"dispenser": "dispensers"}.get(resource_class, resource_class)
-        return getattr(self, f"{field}_{point}")
+        prefix = {"dispenser": "dispensers"}.get(resource_class, resource_class)
+        return getattr(self, f"{prefix}_{point}")
 
     def manual_total(self) -> int:
         return self.skilled_A + self.skilled_B + self.unskilled_A + self.unskilled_B
@@ -377,8 +353,8 @@ class CrossdockModel:
         horizon, arr_mean, factor = config.horizon, config.arrival.mean, config.unskilled_factor
         p_auto, p_point_A = config.p_auto, config.p_point_A
         manual, automated = config.manual_service, config.auto_service
-        m_lo, m_mode, m_hi = manual.low, manual.mode, manual.high
-        a_lo, a_mode, a_hi = automated.low, automated.mode, automated.high
+        m_lo, m_mode, m_hi = manual.min, manual.mode, manual.max
+        a_lo, a_mode, a_hi = automated.min, automated.mode, automated.max
 
         # one 0.0 entry per unit, its payload the id of the order that last
         # held the unit; a pool with no units holds one that never frees
@@ -491,11 +467,10 @@ def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> Cr
     """Validate config (and optional layout override) into an executable
     model. Raises ConfigurationError listing every violated field."""
     problems = config.validate()
-    if layout is None and not problems:
-        layout = ResourceLayout.symmetric(config)
-    if layout is not None and not problems:
-        problems += [f"layout.{name}: {problem}" for name, count in vars(layout).items()
-                     if (problem := _COUNT.problem(count))]
+    if not problems:
+        layout = layout or ResourceLayout.symmetric(config)
+        _check(ResourceLayout, vars(layout), "layout", problems)
+    if not problems:  # the totals below need counts that passed
         if config.p_auto > 0 and layout.dispenser_total() == 0:
             problems.append(
                 "dispensers_per_point: automated orders have positive probability "

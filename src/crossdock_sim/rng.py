@@ -46,6 +46,8 @@ class StreamKey:
     def __post_init__(self):
         if self.source_id not in _SOURCE_CODES:
             raise ConfigurationError(f"unknown source_id: {self.source_id!r}")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
         if self.replication_index < 0:
             raise ConfigurationError("replication_index must be >= 0")
 

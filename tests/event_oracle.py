@@ -68,12 +68,12 @@ class EventDrivenModel(CrossdockModel):
 
         horizon = config.horizon
         arr_mean = config.arrival.mean
-        m_lo, m_mode, m_hi = (config.manual_service.low,
+        m_lo, m_mode, m_hi = (config.manual_service.min,
                               config.manual_service.mode,
-                              config.manual_service.high)
-        a_lo, a_mode, a_hi = (config.auto_service.low,
+                              config.manual_service.max)
+        a_lo, a_mode, a_hi = (config.auto_service.min,
                               config.auto_service.mode,
-                              config.auto_service.high)
+                              config.auto_service.max)
         factor = config.unskilled_factor
         p_auto = config.p_auto
         p_point_A = config.p_point_A

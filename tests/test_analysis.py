@@ -11,6 +11,7 @@ from crossdock_sim import (
     summarize,
     t_quantile,
 )
+from crossdock_sim import analysis
 from crossdock_sim.analysis import (
     halfwidth_table,
     paired_comparison,
@@ -121,6 +122,11 @@ class TestReplicateToPrecision:
             replicate_to_precision(fast_config, 1, 0.95, 1.0, 1, 10)
         with pytest.raises(ConfigurationError):
             replicate_to_precision(fast_config, 1, 0.95, 1.0, 5, 4)
+
+    def test_nan_target_rejected_before_running(self, fast_config, monkeypatch):
+        monkeypatch.setattr(analysis, "run_replications", None)  # any call fails
+        with pytest.raises(ConfigurationError, match="target"):
+            replicate_to_precision(fast_config, 1, 0.95, math.nan, 5, 10)
 
 
 class TestPairedComparison:

@@ -45,7 +45,7 @@ def command_args(name, config_file):
     return [config_file if arg == "CONFIG" else arg for arg in COMMANDS[name]]
 
 
-@pytest.mark.parametrize("value", ["0", "1.5"])
+@pytest.mark.parametrize("value", ["0", "1.5", "nan"])
 @pytest.mark.parametrize("name", ["simulate", "table5", "compare", "precision"])
 def test_confidence_outside_unit_interval_rejected_before_running(
         runner, config_file, tmp_path, name, value):
@@ -66,6 +66,16 @@ def test_threads_below_one_rejected_before_running(runner, config_file, tmp_path
                         + ["--threads", value, "--out", str(out)])
     assert res.exit_code == 2
     assert "--threads" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_negative_seed_rejected_before_running(runner, config_file, tmp_path, name):
+    out = tmp_path / "x"
+    res = runner.invoke(main, command_args(name, config_file)
+                        + ["--seed", "-1", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--seed" in res.output
     assert not out.exists()
 
 
@@ -251,6 +261,23 @@ class TestCompare:
         assert report["other_mode"]["crn"] is False
         assert report["var_diff_ratio_crn_over_independent"] < 1.0
 
+    @pytest.mark.parametrize("extra,runs", [([], 6), (["--both"], 9)],
+                             ids=["requested", "both"])
+    def test_config_a_runs_once(self, runner, config_file, tmp_path, monkeypatch,
+                                extra, runs):
+        calls = []
+        original = CrossdockModel.run
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CrossdockModel, "run", counted)
+        res = runner.invoke(main, ["compare", config_file, config_file, "--reps", "3",
+                                   "--threads", "1", *extra, "--out", str(tmp_path / "r")])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == runs
+
     def test_confounded_configs_rejected(self, runner, tmp_path, fast_config):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -357,3 +384,11 @@ class TestPrecision:
         res = runner.invoke(main, ["precision", config_file, "--target", "0",
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    def test_target_nan_rejected_before_running(self, runner, config_file, tmp_path):
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["precision", config_file, "--target", "nan",
+                                   "--n0", "3", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "--target" in res.output
+        assert not out.exists()

@@ -51,8 +51,8 @@ def all_auto_expected_cost(config) -> float:
     M/G/1 queue at the end, its Pollaczek-Khinchine mean
     lambda E[S^2] / (2 (1 - rho)) once the queue is near steady state."""
     assert config.p_auto == 1.0 and config.dispensers_per_point == 1
-    low, mode, high = (config.auto_service.low, config.auto_service.mode,
-                       config.auto_service.high)
+    low, mode, high = (config.auto_service.min, config.auto_service.mode,
+                       config.auto_service.max)
     mean = (low + mode + high) / 3
     second = (low * low + mode * mode + high * high
               - low * mode - low * high - mode * high) / 18 + mean * mean

@@ -1,7 +1,7 @@
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -124,6 +124,19 @@ def test_hostile_value_named_or_runs(field, value, with_field):
         assert math.isfinite(out.total_usage_cost)
 
 
+def test_config_dataclasses_are_the_file_schema():
+    """Each config dataclass's fields are the keys of its object in the
+    paper config, in file order, and every field has a rule."""
+    def walk(cls, data):
+        assert [f.name for f in fields(cls)] == list(data)
+        for f in fields(cls):
+            if isinstance(f.metadata["rule"], type):
+                walk(f.metadata["rule"], data[f.name])
+
+    walk(ModelConfig, PAPER)
+    assert all("rule" in f.metadata for f in fields(ResourceLayout))
+
+
 class TestLayout:
     def test_dispensers_round_robin_a_first(self):
         assert ResourceLayout.from_totals(1, 4).dispensers_A == 1
@@ -181,7 +194,7 @@ class TestBuildModel:
             build_model(paper_config,
                         replace(ResourceLayout.symmetric(paper_config), dispensers_B=10**6))
 
-    @pytest.mark.parametrize("count", [-1, 1.5, True])
+    @pytest.mark.parametrize("count", [-1, 1.5, True, "2", None, model_mod.MAX_UNITS + 1])
     def test_layout_count_outside_schema_named(self, paper_config, count):
         layout = replace(ResourceLayout.symmetric(paper_config), skilled_A=count)
         with pytest.raises(ConfigurationError, match="layout.skilled_A"):

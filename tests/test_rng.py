@@ -71,6 +71,10 @@ class TestStreams:
         with pytest.raises(ConfigurationError):
             StreamKey(1, "arrival", -1)
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="master_seed"):
+            StreamKey(-1, "arrival", 0)
+
     def test_all_sources_constructible(self):
         for src in SOURCE_IDS:
             assert 0.0 <= stream_create(9, src, 2).uniform() < 1.0
