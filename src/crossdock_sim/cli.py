@@ -70,17 +70,17 @@ def out_dir(path: str) -> Path:
     return p
 
 
-def reject_nan(ctx, param, value):
-    """Option callback: NaN passes every range test, so reject it here."""
-    if math.isnan(value):
-        raise click.BadParameter("must not be NaN")
+def reject_non_finite(ctx, param, value):
+    """Option callback: NaN passes every range test, and JSON has no infinity."""
+    if not math.isfinite(value):
+        raise click.BadParameter("must be a finite number")
     return value
 
 
 seed_option = click.option("--seed", default=12345, show_default=True,
                            type=click.IntRange(min=0))
 confidence_option = click.option(
-    "--confidence", default=0.95, show_default=True, callback=reject_nan,
+    "--confidence", default=0.95, show_default=True, callback=reject_non_finite,
     type=click.FloatRange(0, 1, min_open=True, max_open=True),
 )
 threads_option = click.option(
@@ -313,7 +313,7 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
 
 @main.command()
 @click.argument("config_path", metavar="CONFIG")
-@click.option("--target", required=True, type=float, callback=reject_nan,
+@click.option("--target", required=True, type=float, callback=reject_non_finite,
               help="Target confidence-interval half width.")
 @click.option("--n0", default=10, show_default=True, type=int)
 @click.option("--n-max", default=10000, show_default=True, type=int)

@@ -24,14 +24,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .kernel import EventCalendar
-from .rng import (
-    SHARED_SOURCE,
-    exponential_inverse,
-    stream_create,
-    triangular_inverse,
-)
+from .rng import SHARED_SOURCE, SOURCE_IDS, stream_create, triangular_inverse
 
 POINTS = ("A", "B")
 RESOURCE_CLASSES = ("skilled", "unskilled", "dispenser")
@@ -43,9 +40,10 @@ DECISION_FIELDS = ("skilled_per_point", "unskilled_per_point", "dispensers_per_p
 CRN_MODES = ("default_stream", "dedicated_streams")
 
 # A replication handles about horizon / arrival.mean arrivals, each in
-# Python; a config that expects more than this would run for hours per
-# replication, so it is rejected as a mistake rather than run.
+# Python; a config that expects more (this many take seconds per
+# replication) is rejected as a mistake rather than run.
 MAX_EXPECTED_ARRIVALS = 1e7
+_CHUNK = 1 << 16  # most orders whose trace is held at once
 
 # Upper bounds of every real-valued field and of every unit count. A
 # pool's charge is then at most rate x units x horizon = 1e100 x 1e5 x
@@ -268,12 +266,6 @@ class ResourceLayout:
         prefix = {"dispenser": "dispensers"}.get(resource_class, resource_class)
         return getattr(self, f"{prefix}_{point}")
 
-    def manual_total(self) -> int:
-        return self.skilled_A + self.skilled_B + self.unskilled_A + self.unskilled_B
-
-    def dispenser_total(self) -> int:
-        return self.dispensers_A + self.dispensers_B
-
 
 @dataclass(frozen=True)
 class PoolStats:
@@ -329,79 +321,63 @@ class CrossdockModel:
 
     def run(self, master_seed: int, replication_index: int,
             collect_log: bool = False) -> ReplicationOutput:
-        """One replication, each order served as it arrives.
-
-        An order takes all its draws at arrival, so each pool is a FIFO
-        queue fed by the order stream alone. A pool is a calendar of its
-        units' release times: an order takes the unit that frees first and
-        holds it from max(arrival, release) to the end of its service (the
-        c-server FIFO recursion of Kiefer and Wolfowitz).
-        """
+        """One replication, `_CHUNK` orders at a time. An order takes all its
+        draws at arrival, so a chunk's trace (arrival times, types, points,
+        service durations) is drawn as arrays whatever the layout; then each
+        point's dispensers and its manual operatives serve their own orders."""
         config = self.config
-
-        def stream(source):
-            return stream_create(master_seed, source, replication_index)
-
-        if config.crn_mode == "default_stream":
-            s_arrival = s_type = s_point = stream(SHARED_SOURCE)
-            s_manual = s_auto = dict.fromkeys(POINTS, s_arrival)
-        else:
-            s_arrival, s_type, s_point = map(stream, ("arrival", "order_type", "point_choice"))
-            s_manual = {p: stream(f"manual_service_point_{p}") for p in POINTS}
-            s_auto = {p: stream(f"auto_service_point_{p}") for p in POINTS}
-
-        horizon, arr_mean, factor = config.horizon, config.arrival.mean, config.unskilled_factor
-        p_auto, p_point_A = config.p_auto, config.p_point_A
-        manual, automated = config.manual_service, config.auto_service
-        m_lo, m_mode, m_hi = manual.min, manual.mode, manual.max
-        a_lo, a_mode, a_hi = automated.min, automated.mode, automated.max
+        horizon, mean = config.horizon, config.arrival.mean
+        shared = config.crn_mode == "default_stream"
+        s_arrival, s_type, s_point, *s_service = (
+            [stream_create(master_seed, SHARED_SOURCE, replication_index)] * 7 if shared
+            else [stream_create(master_seed, s, replication_index) for s in SOURCE_IDS])
 
         # one 0.0 entry per unit, its payload the id of the order that last
         # held the unit; a pool with no units holds one that never frees
         capacity = self.pool_capacities()
         units = {name: EventCalendar() for name in capacity}
         for name, cal in units.items():
-            for _ in range(capacity[name]):
-                cal.schedule(0.0, name)
-            if not capacity[name]:
-                cal.schedule(math.inf, name)
-        skilled, unskilled, dispenser = (
-            {p: units[f"{cls}_{p}"] for p in POINTS} for cls in RESOURCE_CLASSES)
-        busy = dict.fromkeys(units, 0.0)
-        grants = dict.fromkeys(units, 0)
+            for release in [0.0] * capacity[name] or [math.inf]:
+                cal.schedule(release, name)
+        # the four queues, in the order of their service streams
+        queues = [(f"manual_{p}", config.manual_service, units[f"skilled_{p}"],
+                   units[f"unskilled_{p}"]) for p in POINTS]
+        queues += [(f"dispenser_{p}", config.auto_service, units[f"dispenser_{p}"], None)
+                   for p in POINTS]
+        busy, grants = dict.fromkeys(units, 0.0), dict.fromkeys(units, 0)
         orders = [] if collect_log else None
         arrivals = completions = 0
 
-        t = exponential_inverse(s_arrival.uniform(), arr_mean)
+        t = -mean * math.log1p(-_draw(s_arrival, 1)[0])
         while t <= horizon:
-            arrivals += 1
-            next_t = t + exponential_inverse(s_arrival.uniform(), arr_mean)
-            auto = s_type.uniform() < p_auto
-            point = "A" if s_point.uniform() < p_point_A else "B"
-            if auto:
-                dur = triangular_inverse(s_auto[point].uniform(), a_lo, a_mode, a_hi)
-                pool = dispenser[point]
+            # the next k orders' arrival gaps, or in the default stream their
+            # rows of (next gap, type, point, service); a few pass the horizon
+            k = min(_CHUNK, int((horizon - t) / mean * 1.05) + 64)
+            if shared:
+                gap_u, type_u, point_u, service_u = _draw(s_arrival, 4 * k).reshape(k, 4).T
             else:
-                dur = triangular_inverse(s_manual[point].uniform(), m_lo, m_mode, m_hi)
-                pool = skilled[point]
-                # an idle skilled operative, else an idle unskilled one,
-                # else whichever frees first, skilled on a tie
-                skilled_free = pool.peek()
-                if skilled_free > t and unskilled[point].peek() < skilled_free:
-                    pool = unskilled[point]
-                    dur *= factor
-            release, name, holder = pool.next_event()
-            start = release if release > t else t
-            end = start + dur
-            pool.schedule(end, name, arrivals)
-            if start <= horizon:
-                grants[name] += 1
-                busy[name] += (end if end < horizon else horizon) - start
-                completions += end <= horizon
+                gap_u = _draw(s_arrival, k)
+            # math.log1p one by one: np.log1p's doubles can differ from it
+            gaps = np.fromiter(map(math.log1p, (-gap_u).tolist()), float, k) * -mean
+            times = np.cumsum(np.concatenate(([t], gaps)))  # a sequential sum
+            n = int(np.searchsorted(times[:k], horizon, "right"))  # arrived by the horizon
+            # only the last chunk has orders past the horizon, and nothing draws
+            # after them, so their draws are not counted
+            s_arrival.draws_taken -= (k - n) * (4 if shared else 1)
+            t = times[n]
+            if not shared:
+                type_u, point_u = _draw(s_type, n), _draw(s_point, n)
+            queue_of = 2 * (type_u[:n] < config.p_auto) + (point_u[:n] >= config.p_point_A)
             if orders is not None:
-                queue = f"dispenser_{point}" if auto else f"manual_{point}"
-                orders.append((t, queue, name, start, end, holder if release > t else None))
-            t = next_t
+                orders.extend([None] * n)
+            for q, (queue, tri, *pools) in enumerate(queues):
+                ids = np.flatnonzero(queue_of == q)
+                u = service_u[ids] if shared else _draw(s_service[q], len(ids))
+                arrived = zip((ids + arrivals + 1).tolist(), times[ids].tolist(),
+                              triangular_inverse(u, tri.min, tri.mode, tri.max).tolist())
+                completions += _serve(queue, arrived, pools, config.unskilled_factor,
+                                      horizon, busy, grants, orders)
+            arrivals += n
 
         pool_stats = {name: PoolStats(busy[name], capacity[name] * horizon - busy[name],
                                       grants[name])
@@ -414,6 +390,46 @@ class CrossdockModel:
             pools=pool_stats,
             log=_event_log(orders, horizon) if orders is not None else None,
         )
+
+
+def _draw(stream, n: int) -> np.ndarray:
+    """The next n uniforms of `stream`, one at a time if it has only `uniform()`."""
+    if hasattr(stream, "uniforms"):
+        return stream.uniforms(n)
+    return np.array([stream.uniform() for _ in range(n)])
+
+
+def _serve(queue: str, arrived, pools, factor: float, horizon: float,
+           busy: dict, grants: dict, orders: list | None) -> int:
+    """Serve one queue's `(id, arrival, duration)` orders in arrival order,
+    adding to `busy` and `grants`; returns how many complete by the horizon.
+
+    An order takes the unit that frees first, from max(arrival, release) to
+    the end of its service (the c-server FIFO recursion of Kiefer and
+    Wolfowitz). `pools` is a point's (dispensers, None), or its (skilled,
+    unskilled) operatives: an idle skilled one, else an idle unskilled one
+    (slower by `factor`), else whichever frees first, skilled on a tie.
+    `orders[id - 1]` gets the order's record."""
+    first, second = pools
+    completions = 0
+    for i, t, dur in arrived:
+        pool = first
+        if second is not None:
+            first_free = first.peek()
+            if first_free > t and second.peek() < first_free:
+                pool = second
+                dur *= factor
+        release, name, holder = pool.next_event()
+        start = release if release > t else t
+        end = start + dur
+        pool.schedule(end, name, i)
+        if start <= horizon:
+            grants[name] += 1
+            busy[name] += (end if end < horizon else horizon) - start
+            completions += end <= horizon
+        if orders is not None:
+            orders[i - 1] = (t, queue, name, start, end, holder if release > t else None)
+    return completions
 
 
 def _event_log(orders: list, horizon: float) -> tuple:
@@ -471,12 +487,13 @@ def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> Cr
         layout = layout or ResourceLayout.symmetric(config)
         _check(ResourceLayout, vars(layout), "layout", problems)
     if not problems:  # the totals below need counts that passed
-        if config.p_auto > 0 and layout.dispenser_total() == 0:
+        if config.p_auto > 0 and not (layout.dispensers_A or layout.dispensers_B):
             problems.append(
                 "dispensers_per_point: automated orders have positive probability "
                 "but no dispenser exists at any point"
             )
-        if config.p_auto < 1 and layout.manual_total() == 0:
+        if config.p_auto < 1 and not (layout.skilled_A or layout.skilled_B
+                                      or layout.unskilled_A or layout.unskilled_B):
             problems.append(
                 "skilled_per_point, unskilled_per_point: manual orders have positive "
                 "probability but no operative exists at any point"

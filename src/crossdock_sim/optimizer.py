@@ -11,8 +11,8 @@ own seed-derived key space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -188,22 +188,13 @@ def neighbors(point: DecisionPoint, bounds: Bounds) -> list:
 
 def _trace_from(evaluator: Evaluator) -> OptimizationTrace:
     evaluations = tuple(evaluator.evaluations)
-    incumbent = []
-    best = math.inf
-    best_at = 0
-    best_point = None
-    for ev in evaluations:
-        if ev.mean_cost < best:
-            best = ev.mean_cost
-            best_at = ev.index
-            best_point = ev.point
-        incumbent.append(best)
+    best = min(evaluations, key=lambda ev: ev.mean_cost)  # the first of equals
     return OptimizationTrace(
         evaluations=evaluations,
-        incumbent=tuple(incumbent),
-        best_point=best_point,
-        best_value=best,
-        best_found_at=best_at,
+        incumbent=tuple(accumulate((ev.mean_cost for ev in evaluations), min)),
+        best_point=best.point,
+        best_value=best.mean_cost,
+        best_found_at=best.index,
     )
 
 

@@ -34,8 +34,10 @@ def format_cell(value) -> str:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """`payload` as JSON; a dataclass in it becomes the dict of its fields."""
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=asdict) + "\n")
+    """`payload` as JSON, a dataclass in it as the dict of its fields; NaN
+    and infinity, which JSON lacks, raise ValueError."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=asdict,
+                               allow_nan=False) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list, manifest: dict,

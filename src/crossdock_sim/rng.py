@@ -77,6 +77,14 @@ class RandomStream:
         self.draws_taken += 1
         return v
 
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n uniforms as an array, the values n calls of uniform()
+        would return; increments draws_taken by n."""
+        head = self._buf[self._pos:self._pos + n]
+        self._pos += len(head)
+        self.draws_taken += n
+        return np.concatenate((head, self._gen.random(n - len(head))))
+
 
 def stream_create(master_seed: int, source_id: str, replication_index: int) -> RandomStream:
     return RandomStream(StreamKey(master_seed, source_id, replication_index))
@@ -99,10 +107,14 @@ def exponential_inverse(u: float, mean: float) -> float:
     return -mean * math.log1p(-u)
 
 
-def triangular_inverse(u: float, low: float, mode: float, high: float) -> float:
-    """Inverse CDF of the triangular(low, mode, high) distribution at u."""
+def triangular_inverse(u, low: float, mode: float, high: float):
+    """Inverse CDF of the triangular(low, mode, high) distribution at u, a
+    float or an array of them (equal bit for bit: sqrt is correctly rounded)."""
     span = high - low
     c = (mode - low) / span
+    if isinstance(u, np.ndarray):
+        return np.where(u <= c, low + np.sqrt(u * span * (mode - low)),
+                        high - np.sqrt((1.0 - u) * span * (high - mode)))
     if u <= c:
         return low + math.sqrt(u * span * (mode - low))
     return high - math.sqrt((1.0 - u) * span * (high - mode))

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from crossdock_sim import cli
 from crossdock_sim.cli import main
 from crossdock_sim.model import CrossdockModel
+from crossdock_sim.reporting import write_json
 
 
 @pytest.fixture
@@ -392,3 +393,20 @@ class TestPrecision:
         assert res.exit_code == 2
         assert "--target" in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_target_infinite_rejected_before_running(self, runner, config_file, tmp_path,
+                                                     value):
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["precision", config_file, "--target", value,
+                                   "--n0", "3", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "--target" in res.output and "finite" in res.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_write_json_refuses_what_json_lacks(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "report.json", {"result": {"target": value}})
+    assert not (tmp_path / "report.json").exists()
