@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -101,7 +100,7 @@ def main():
 @main.command()
 @click.argument("config_path", metavar="CONFIG")
 @seed_option
-@click.option("--reps", default=100, show_default=True, type=int)
+@click.option("--reps", default=100, show_default=True, type=click.IntRange(min=2))
 @confidence_option
 @click.option("--event-log", is_flag=True,
               help="Also write a per-event CSV (slow; for auditing).")
@@ -111,8 +110,6 @@ def main():
 def simulate(config_path, seed, reps, confidence, event_log, out, threads):
     """Run replications of one config and summarize Total Usage Cost."""
     config = load_config(config_path)
-    if reps < 2:
-        raise ConfigurationError("--reps must be >= 2")
     outputs = ["simulate_summary.json", "simulate_replications.csv"]
     if event_log:
         outputs.append("simulate_events.csv")
@@ -249,8 +246,8 @@ def compare(config_a, config_b, reps, crn, both, seed, confidence, out, threads)
 @click.option("--crn/--no-crn", default=True, show_default=True)
 @click.option("--dispenser-max", default=6, show_default=True, type=int)
 @click.option("--operative-max", default=4, show_default=True, type=int)
-@click.option("--validate-reps", default=None, type=int,
-              help="Re-evaluate the best point at this many replications.")
+@click.option("--validate-reps", default=None, type=click.IntRange(min=2),
+              help="Re-evaluate the best point at this many fresh replications.")
 @seed_option
 @out_option
 @threads_option
@@ -268,9 +265,6 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
         seed=seed,
         threads=threads,
     )
-    problem.validate()
-    if validate_reps is not None and validate_reps < 2:
-        raise ConfigurationError("--validate-reps must be >= 2")
     manifest = make_manifest(
         "optimize", seed,
         {
@@ -287,8 +281,7 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
         trace = run_optimize(problem, pool)
         summary = {"manifest": manifest, "result": trace.summary_dict(problem)}
         if validate_reps is not None:
-            validator = Evaluator(replace(problem, reps_per_eval=validate_reps, budget=1),
-                                  executor=pool)
+            validator = Evaluator(problem.for_validation(validate_reps), executor=pool)
             mean, hw = validator.evaluate(trace.best_point)
             summary["validation"] = {"reps": validate_reps, "mean": mean, "half_width": hw}
 

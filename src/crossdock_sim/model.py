@@ -22,7 +22,6 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -118,16 +117,19 @@ class CostRates:
         return getattr(self, resource_class)
 
 
-def _check(rule, value, path: str, problems: list):
+def _check(rule, value, path: str, problems: list, built: bool = False):
     """Check `value` against `rule`, appending one message per bad field,
-    named by its dotted path. Returns the value, as dicts for objects and
-    with JSON integers turned to floats in real-valued fields, or None
-    where it is bad."""
+    named by its dotted path. `value` is JSON, or with `built` a config
+    dataclass whose objects must be instances of their rules. Returns the
+    value, as dicts for objects and with JSON integers turned to floats in
+    real-valued fields, or None where it is bad."""
     at = f"{path}: " if path else ""
     if isinstance(rule, type):  # a config dataclass; Number is an instance
-        if not isinstance(value, dict):
-            problems.append(f"{at}expected an object")
+        if not isinstance(value, rule if built else dict):
+            problems.append(f"{at}expected {rule.__name__ if built else 'an object'}")
             return None
+        if built:
+            value = vars(value)
         names = {f.name for f in fields(rule)}
         unknown = set(value) - names
         if unknown:
@@ -136,7 +138,7 @@ def _check(rule, value, path: str, problems: list):
         if missing:
             problems.append(f"{at}missing fields {sorted(missing)}")
         return {f.name: _check(f.metadata["rule"], value[f.name],
-                               f"{path}.{f.name}" if path else f.name, problems)
+                               f"{path}.{f.name}" if path else f.name, problems, built)
                 for f in fields(rule) if f.name in value}
     if isinstance(rule, tuple):
         if value in rule:
@@ -157,11 +159,11 @@ def _build(rule, value):
     return rule(**{f.name: _build(f.metadata["rule"], value[f.name]) for f in fields(rule)})
 
 
-def _parse(data) -> tuple[dict, list[str]]:
-    """Check a config dict field by field, then the rules that join fields.
-    Returns the checked dict and every problem found."""
+def _parse(data, built: bool = False) -> dict:
+    """Check a config (see `_check`) field by field, then the rules that
+    join fields, and raise every problem found. Returns the checked dict."""
     problems = []
-    checked = _check(ModelConfig, data, "", problems) or {}
+    checked = _check(ModelConfig, data, "", problems, built) or {}
     for name in ("manual_service", "auto_service"):
         tri = checked.get(name) or {}
         low, mode, high = (tri.get(key) for key in ("min", "mode", "max"))
@@ -176,7 +178,9 @@ def _parse(data) -> tuple[dict, list[str]]:
     if arrivals and arrivals > MAX_EXPECTED_ARRIVALS:
         problems.append(f"arrival.mean, horizon: horizon / arrival.mean expects "
                         f"{arrivals:.3g} arrivals, more than {MAX_EXPECTED_ARRIVALS:g}")
-    return checked, problems
+    if problems:
+        raise ConfigurationError("config: " + "; ".join(problems))
+    return checked
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,8 @@ class ModelConfig:
 
     Times are simulation minutes; rates are currency per hour. The three
     *_per_point counts describe the symmetric baseline layout; the
-    optimizer overrides them with an explicit `ResourceLayout`. The
-    fields and their rules are the config file's schema.
+    optimizer overrides them with an explicit `ResourceLayout`. The fields
+    and their rules are the config file's schema; every instance obeys them.
     """
 
     arrival: Exponential = _rule(Exponential)
@@ -202,14 +206,8 @@ class ModelConfig:
     horizon: float = _rule(_POSITIVE)
     crn_mode: str = _rule(CRN_MODES)
 
-    def validate(self) -> list[str]:
-        """Every problem with this config, or []. Found once per config (it
-        is frozen), so a batch of replications does not repeat the walk."""
-        return list(self._problems)
-
-    @cached_property
-    def _problems(self) -> tuple:
-        return tuple(_parse(self.to_dict())[1])
+    def __post_init__(self):
+        _parse(self, built=True)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -218,10 +216,7 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         """Strict parse: unknown or missing fields are errors, and every
         problem found is reported in one message."""
-        checked, problems = _parse(data)
-        if problems:
-            raise ConfigurationError("config: " + "; ".join(problems))
-        return _build(cls, checked)
+        return _build(cls, _parse(data))
 
     def with_crn_mode(self, crn_mode: str) -> "ModelConfig":
         return replace(self, crn_mode=crn_mode)
@@ -229,7 +224,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ResourceLayout:
-    """Per-point resource counts; may be asymmetric."""
+    """Per-point resource counts, checked when built; may be asymmetric."""
 
     skilled_A: int = _rule(_COUNT)
     skilled_B: int = _rule(_COUNT)
@@ -237,6 +232,12 @@ class ResourceLayout:
     unskilled_B: int = _rule(_COUNT)
     dispensers_A: int = _rule(_COUNT)
     dispensers_B: int = _rule(_COUNT)
+
+    def __post_init__(self):
+        problems = []
+        _check(ResourceLayout, self, "layout", problems, built=True)
+        if problems:
+            raise ConfigurationError("config: " + "; ".join(problems))
 
     @classmethod
     def symmetric(cls, config: ModelConfig) -> "ResourceLayout":
@@ -251,8 +252,6 @@ class ResourceLayout:
         Dispensers go round-robin across points, A first. Operatives go
         round-robin over (A skilled, B skilled, A unskilled, B unskilled).
         """
-        if dispensers < 0 or operatives < 0:
-            raise ConfigurationError("resource totals must be >= 0")
         return cls(
             dispensers_A=(dispensers + 1) // 2,
             dispensers_B=dispensers // 2,
@@ -306,7 +305,7 @@ def total_usage_cost(pool_stats: dict, rates: CostRates) -> float:
 
 
 class CrossdockModel:
-    """Executable model: validated config plus a concrete resource layout."""
+    """Executable model: a config plus a concrete resource layout."""
 
     def __init__(self, config: ModelConfig, layout: ResourceLayout):
         self.config = config
@@ -348,15 +347,15 @@ class CrossdockModel:
         orders = [] if collect_log else None
         arrivals = completions = 0
 
-        t = -mean * math.log1p(-_draw(s_arrival, 1)[0])
+        t = -mean * math.log1p(-s_arrival.uniforms(1)[0])
         while t <= horizon:
             # the next k orders' arrival gaps, or in the default stream their
             # rows of (next gap, type, point, service); a few pass the horizon
             k = min(_CHUNK, int((horizon - t) / mean * 1.05) + 64)
             if shared:
-                gap_u, type_u, point_u, service_u = _draw(s_arrival, 4 * k).reshape(k, 4).T
+                gap_u, type_u, point_u, service_u = s_arrival.uniforms(4 * k).reshape(k, 4).T
             else:
-                gap_u = _draw(s_arrival, k)
+                gap_u = s_arrival.uniforms(k)
             # math.log1p one by one: np.log1p's doubles can differ from it
             gaps = np.fromiter(map(math.log1p, (-gap_u).tolist()), float, k) * -mean
             times = np.cumsum(np.concatenate(([t], gaps)))  # a sequential sum
@@ -366,13 +365,13 @@ class CrossdockModel:
             s_arrival.draws_taken -= (k - n) * (4 if shared else 1)
             t = times[n]
             if not shared:
-                type_u, point_u = _draw(s_type, n), _draw(s_point, n)
+                type_u, point_u = s_type.uniforms(n), s_point.uniforms(n)
             queue_of = 2 * (type_u[:n] < config.p_auto) + (point_u[:n] >= config.p_point_A)
             if orders is not None:
                 orders.extend([None] * n)
             for q, (queue, tri, *pools) in enumerate(queues):
                 ids = np.flatnonzero(queue_of == q)
-                u = service_u[ids] if shared else _draw(s_service[q], len(ids))
+                u = service_u[ids] if shared else s_service[q].uniforms(len(ids))
                 arrived = zip((ids + arrivals + 1).tolist(), times[ids].tolist(),
                               triangular_inverse(u, tri.min, tri.mode, tri.max).tolist())
                 completions += _serve(queue, arrived, pools, config.unskilled_factor,
@@ -390,13 +389,6 @@ class CrossdockModel:
             pools=pool_stats,
             log=_event_log(orders, horizon) if orders is not None else None,
         )
-
-
-def _draw(stream, n: int) -> np.ndarray:
-    """The next n uniforms of `stream`, one at a time if it has only `uniform()`."""
-    if hasattr(stream, "uniforms"):
-        return stream.uniforms(n)
-    return np.array([stream.uniform() for _ in range(n)])
 
 
 def _serve(queue: str, arrived, pools, factor: float, horizon: float,
@@ -480,24 +472,22 @@ def _event_log(orders: list, horizon: float) -> tuple:
 
 
 def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> CrossdockModel:
-    """Validate config (and optional layout override) into an executable
-    model. Raises ConfigurationError listing every violated field."""
-    problems = config.validate()
-    if not problems:
-        layout = layout or ResourceLayout.symmetric(config)
-        _check(ResourceLayout, vars(layout), "layout", problems)
-    if not problems:  # the totals below need counts that passed
-        if config.p_auto > 0 and not (layout.dispensers_A or layout.dispensers_B):
-            problems.append(
-                "dispensers_per_point: automated orders have positive probability "
-                "but no dispenser exists at any point"
-            )
-        if config.p_auto < 1 and not (layout.skilled_A or layout.skilled_B
-                                      or layout.unskilled_A or layout.unskilled_B):
-            problems.append(
-                "skilled_per_point, unskilled_per_point: manual orders have positive "
-                "probability but no operative exists at any point"
-            )
+    """An executable model of `config`, with `layout` in place of its
+    symmetric one. Raises ConfigurationError when orders of a kind with
+    positive probability have no resource at any point."""
+    layout = layout or ResourceLayout.symmetric(config)
+    problems = []
+    if config.p_auto > 0 and not (layout.dispensers_A or layout.dispensers_B):
+        problems.append(
+            "dispensers_per_point: automated orders have positive probability "
+            "but no dispenser exists at any point"
+        )
+    if config.p_auto < 1 and not (layout.skilled_A or layout.skilled_B
+                                  or layout.unskilled_A or layout.unskilled_B):
+        problems.append(
+            "skilled_per_point, unskilled_per_point: manual orders have positive "
+            "probability but no operative exists at any point"
+        )
     if problems:
         raise ConfigurationError("config: " + "; ".join(problems))
     return CrossdockModel(config, layout)

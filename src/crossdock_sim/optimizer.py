@@ -28,6 +28,7 @@ MAX_GRID_POINTS = 10_000
 
 _RESTART_TAG = 0x5EED
 _POINT_SEED_TAG = 0xCAFE
+_VALIDATION_TAG = 0xC0DE
 
 
 class DecisionPoint(NamedTuple):
@@ -54,6 +55,8 @@ class Bounds:
 
 @dataclass(frozen=True)
 class OptimizationProblem:
+    """A search's frame, checked when built."""
+
     base_config: ModelConfig
     bounds: Bounds
     reps_per_eval: int
@@ -62,7 +65,7 @@ class OptimizationProblem:
     seed: int
     threads: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.budget < 1:
             raise ConfigurationError("budget must be >= 1")
         if self.reps_per_eval < 2:
@@ -74,6 +77,11 @@ class OptimizationProblem:
             raise ConfigurationError(
                 f"dispenser_max x operative_max = {points} points, more than "
                 f"{MAX_GRID_POINTS}")
+
+    def for_validation(self, reps: int) -> "OptimizationProblem":
+        """Re-evaluation at `reps` replications that the search never ran."""
+        return replace(self, seed=derive_master_seed(self.seed, _VALIDATION_TAG),
+                       reps_per_eval=reps, budget=1)
 
 
 class Evaluation(NamedTuple):
@@ -112,7 +120,6 @@ class Evaluator:
     """
 
     def __init__(self, problem: OptimizationProblem, executor=None):
-        problem.validate()
         self.problem = problem
         self.config = problem.base_config.with_crn_mode(
             "dedicated_streams" if problem.crn else "default_stream")
@@ -208,7 +215,6 @@ def optimize(problem: OptimizationProblem, executor=None) -> OptimizationTrace:
     on one worker pool for the whole search (`executor`, if given, else a
     pool of `problem.threads` workers opened for this call).
     """
-    problem.validate()
     bounds = problem.bounds
     space = bounds.all_points()
     restart_rng = np.random.default_rng(
@@ -242,7 +248,6 @@ def brute_force_optimum(problem: OptimizationProblem) -> tuple[DecisionPoint, fl
     and return the lexicographically-first argmin. One worker pool serves
     the whole run; each batch is one dispenser count, which bounds the
     replication outputs held at once."""
-    problem.validate()
     space = problem.bounds.all_points()
     row = problem.bounds.operative_max
     values = []

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import crossdock_sim.model as model_mod
 from crossdock_sim import cli
 from crossdock_sim.cli import main
 from crossdock_sim.model import CrossdockModel
@@ -326,6 +327,32 @@ class TestOptimize:
         assert set(summary["validation"]) == {"reps", "mean", "half_width"}
         assert summary["validation"]["reps"] == 4
         assert summary["validation"]["mean"] > 0
+
+    @pytest.mark.parametrize("crn", ["--crn", "--no-crn"])
+    def test_validation_shares_no_stream_key_with_search(self, runner, config_file,
+                                                         tmp_path, monkeypatch, crn):
+        """The validating replications are fresh: no (master seed, replication
+        index) pair that the search drew from is drawn from again."""
+        keys = []
+        create = model_mod.stream_create
+
+        def recording(master_seed, source_id, replication_index):
+            keys.append((master_seed, replication_index))
+            return create(master_seed, source_id, replication_index)
+
+        monkeypatch.setattr(model_mod, "stream_create", recording)
+        args = ["optimize", config_file, "--budget", "6", "--reps", "3", crn,
+                "--threads", "1"]
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "search")])
+        assert res.exit_code == 0, res.output
+        search = keys[:]
+        res = runner.invoke(main, [*args, "--validate-reps", "5",
+                                   "--out", str(tmp_path / "validated")])
+        assert res.exit_code == 0, res.output
+        assert keys[len(search):2 * len(search)] == search  # the same search again
+        validation = set(keys[2 * len(search):])
+        assert sorted({index for _, index in validation}) == [0, 1, 2, 3, 4]
+        assert not validation & set(search)
 
     def test_threads_do_not_change_bytes(self, runner, config_file, tmp_path):
         outs = []

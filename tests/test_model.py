@@ -4,6 +4,7 @@ import os
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crossdock_sim.model as model_mod
@@ -33,6 +34,9 @@ class FakeStream:
         self.draws_taken += 1
         return v
 
+    def uniforms(self, n):
+        return np.array([self.uniform() for _ in range(n)])
+
 
 def fake_streams(monkeypatch, per_source):
     def factory(master_seed, source_id, replication_index):
@@ -58,10 +62,19 @@ class TestConfigParsing:
             ModelConfig.from_dict(data)
 
     def test_all_violations_reported(self, paper_config):
-        bad = replace(paper_config, p_auto=2.0, horizon=-1.0, unskilled_factor=0.5)
-        problems = bad.validate()
-        text = "; ".join(problems)
+        with pytest.raises(ConfigurationError) as raised:
+            replace(paper_config, p_auto=2.0, horizon=-1.0, unskilled_factor=0.5)
+        text = str(raised.value)
         assert "p_auto" in text and "horizon" in text and "unskilled_factor" in text
+
+    @pytest.mark.parametrize("field,value,expected", [
+        ("arrival", {"kind": "exponential", "mean": 5.0}, "Exponential"),
+        ("manual_service", model_mod.Exponential("exponential", 5.0), "Triangular"),
+        ("cost_rates", {}, "CostRates"),
+    ])
+    def test_object_field_of_wrong_type_named(self, paper_config, field, value, expected):
+        with pytest.raises(ConfigurationError, match=f"{field}: expected {expected}"):
+            replace(paper_config, **{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("dispensers_per_point", 10**8),
@@ -185,20 +198,19 @@ class TestBuildModel:
     def test_layout_whose_cost_overflows_is_error(self, paper_config):
         # a rate above MAX_VALUE, and a layout count above MAX_UNITS, are
         # rejected by name, so no accepted layout's cost can overflow
-        cfg = replace(paper_config, cost_rates=replace(
-            paper_config.cost_rates,
-            dispenser=replace(paper_config.cost_rates.dispenser, idle_rate=1e295)))
         with pytest.raises(ConfigurationError, match="cost_rates.dispenser.idle_rate"):
-            build_model(cfg)
+            build_model(replace(paper_config, cost_rates=replace(
+                paper_config.cost_rates,
+                dispenser=replace(paper_config.cost_rates.dispenser, idle_rate=1e295))))
         with pytest.raises(ConfigurationError, match="layout.dispensers_B"):
             build_model(paper_config,
                         replace(ResourceLayout.symmetric(paper_config), dispensers_B=10**6))
 
     @pytest.mark.parametrize("count", [-1, 1.5, True, "2", None, model_mod.MAX_UNITS + 1])
     def test_layout_count_outside_schema_named(self, paper_config, count):
-        layout = replace(ResourceLayout.symmetric(paper_config), skilled_A=count)
         with pytest.raises(ConfigurationError, match="layout.skilled_A"):
-            build_model(paper_config, layout)
+            build_model(paper_config,
+                        replace(ResourceLayout.symmetric(paper_config), skilled_A=count))
 
     def test_negative_replication_index_rejected(self, fast_config):
         with pytest.raises(ConfigurationError, match="replication_index"):

@@ -91,14 +91,12 @@ class TestEvaluate:
             Evaluator(problem).evaluate(DecisionPoint(0, 1))
 
     def test_problem_validation(self, fast_config):
-        bad = OptimizationProblem(fast_config, Bounds(2, 2), reps_per_eval=1,
-                                  budget=10, crn=True, seed=1)
         with pytest.raises(ConfigurationError):
-            bad.validate()
-        bad = OptimizationProblem(fast_config, Bounds(2, 2), reps_per_eval=3,
-                                  budget=0, crn=True, seed=1)
+            OptimizationProblem(fast_config, Bounds(2, 2), reps_per_eval=1,
+                                budget=10, crn=True, seed=1)
         with pytest.raises(ConfigurationError):
-            bad.validate()
+            OptimizationProblem(fast_config, Bounds(2, 2), reps_per_eval=3,
+                                budget=0, crn=True, seed=1)
 
 
 class TestOptimize:
