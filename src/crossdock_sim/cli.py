@@ -53,6 +53,8 @@ def handles_errors(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
+        except click.ClickException:
+            raise  # a usage error that names its option; click exits 2
         except (ConfigurationError, ComparisonError, InsufficientDataError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -198,7 +200,7 @@ def table5(config_path, levels, seed, confidence, out, threads):
 @main.command()
 @click.argument("config_a", metavar="CONFIG_A")
 @click.argument("config_b", metavar="CONFIG_B")
-@click.option("--reps", default=100, show_default=True, type=int)
+@click.option("--reps", default=100, show_default=True, type=click.IntRange(min=2))
 @click.option("--crn/--no-crn", default=True, show_default=True)
 @click.option("--both", is_flag=True,
               help="Report the other stream mode too, with the variance ratio.")
@@ -241,11 +243,11 @@ def compare(config_a, config_b, reps, crn, both, seed, confidence, out, threads)
 
 @main.command(name="optimize")
 @click.argument("config_path", metavar="CONFIG")
-@click.option("--budget", default=100, show_default=True, type=int)
-@click.option("--reps", default=5, show_default=True, type=int)
+@click.option("--budget", default=100, show_default=True, type=click.IntRange(min=1))
+@click.option("--reps", default=5, show_default=True, type=click.IntRange(min=2))
 @click.option("--crn/--no-crn", default=True, show_default=True)
-@click.option("--dispenser-max", default=6, show_default=True, type=int)
-@click.option("--operative-max", default=4, show_default=True, type=int)
+@click.option("--dispenser-max", default=6, show_default=True, type=click.IntRange(min=1))
+@click.option("--operative-max", default=4, show_default=True, type=click.IntRange(min=1))
 @click.option("--validate-reps", default=None, type=click.IntRange(min=2),
               help="Re-evaluate the best point at this many fresh replications.")
 @seed_option
@@ -308,7 +310,7 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
 @click.argument("config_path", metavar="CONFIG")
 @click.option("--target", required=True, type=float, callback=reject_non_finite,
               help="Target confidence-interval half width.")
-@click.option("--n0", default=10, show_default=True, type=int)
+@click.option("--n0", default=10, show_default=True, type=click.IntRange(min=2))
 @click.option("--n-max", default=10000, show_default=True, type=int)
 @confidence_option
 @seed_option
@@ -317,6 +319,8 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
 @handles_errors
 def precision(config_path, target, n0, n_max, confidence, seed, out, threads):
     """Replicate until the half width meets a specified precision."""
+    if n_max < n0:
+        raise click.BadParameter(f"must be >= --n0 ({n0})", param_hint="'--n-max'")
     config = load_config(config_path)
     manifest = make_manifest(
         "precision", seed,

@@ -1,8 +1,15 @@
 import math
+import statistics
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import betaincinv
 
 from crossdock_sim import (
     ComparisonError,
@@ -60,6 +67,60 @@ class TestTQuantile:
             t_quantile(5, 1.0)
         with pytest.raises(ConfigurationError):
             t_quantile(0, 0.9)
+
+
+def incomplete_beta_quantile(df, p):
+    """The t quantile through scipy's inverse regularized incomplete beta,
+    sqrt(df (1 - x) / x) with x = betaincinv(df/2, 1/2, 2 (1 - p)): the
+    formula `t_quantile` used while scipy was a runtime dependency."""
+    x = betaincinv(0.5 * df, 0.5, 2.0 * (1.0 - p))
+    return np.sqrt(df * (1.0 - x) / x)
+
+
+class TestTQuantileAccuracy:
+    DFS = np.array([*range(1, 1001), 2499, 4999, 9999])
+
+    @pytest.mark.parametrize("p, rel", [(0.95, 1e-12), (0.975, 1e-12), (0.995, 1e-12),
+                                        (0.6, 1e-10), (0.9, 1e-10), (0.9995, 1e-10)])
+    def test_tracks_incomplete_beta_inversion(self, p, rel):
+        # scipy's own inversion strays further than 1e-12 from the exact
+        # quantile at large df away from the 0.95-0.995 band
+        worst = max(abs(t_quantile(df, p) - ref) / ref for df, ref in
+                    zip(self.DFS.tolist(), incomplete_beta_quantile(self.DFS, p).tolist()))
+        assert worst <= rel
+
+    @pytest.mark.parametrize("df", [1, 3, 30, 4999])
+    def test_finite_and_increasing_into_the_far_tail(self, df):
+        ps = [0.5 + 1e-9, *(k / 100 for k in range(51, 100)),
+              *(1 - 10.0 ** -k for k in range(3, 13))]
+        values = [t_quantile(df, p) for p in ps]
+        assert all(map(math.isfinite, values))
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_median_call_under_50_us(self):
+        times = []
+        for df in range(1, 101):
+            for p in (0.9, 0.95, 0.975, 0.995):
+                start = time.perf_counter()
+                t_quantile(df, p)
+                times.append(time.perf_counter() - start)
+        assert statistics.median(times) < 50e-6
+
+
+def test_start_up_imports_no_scipy():
+    """A fresh interpreter that imports the package and its CLI and builds
+    the paper model, as the benchmark's start-up measure does, loads no
+    scipy module."""
+    root = Path(__file__).resolve().parent.parent
+    config = root / "configs" / "paper-base.json"
+    code = (f"import sys; sys.path.insert(0, {str(root / 'src')!r}); "
+            "import crossdock_sim, crossdock_sim.cli; "
+            "from crossdock_sim.model import build_model; "
+            f"build_model(crossdock_sim.cli.load_config({str(config)!r})); "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSummarize:

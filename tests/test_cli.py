@@ -81,6 +81,25 @@ def test_negative_seed_rejected_before_running(runner, config_file, tmp_path, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, option", [
+    (["optimize", "CONFIG", "--reps", "1"], "--reps"),
+    (["optimize", "CONFIG", "--dispenser-max", "0"], "--dispenser-max"),
+    (["optimize", "CONFIG", "--operative-max", "0"], "--operative-max"),
+    (["optimize", "CONFIG", "--budget", "0"], "--budget"),
+    (["compare", "CONFIG", "CONFIG", "--reps", "1"], "--reps"),
+    (["precision", "CONFIG", "--target", "1", "--n0", "1"], "--n0"),
+    (["precision", "CONFIG", "--target", "1", "--n0", "5", "--n-max", "3"], "--n-max"),
+    (["precision", "CONFIG", "--target", "1", "--n-max", "3", "--n0", "5"], "--n-max"),
+])
+def test_bad_count_rejected_naming_its_option(runner, config_file, tmp_path, args, option):
+    out = tmp_path / "x"
+    res = runner.invoke(main, [config_file if arg == "CONFIG" else arg for arg in args]
+                        + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert f"'{option}'" in res.output
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_writes_reports(self, runner, config_file, tmp_path):
         out = tmp_path / "r"
