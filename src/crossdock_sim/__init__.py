@@ -13,7 +13,7 @@ from .analysis import (
     PrecisionResult,
     SummaryStats,
     halfwidth_table,
-    paired_comparison,
+    paired_comparisons,
     replicate_to_precision,
     summarize,
     t_quantile,

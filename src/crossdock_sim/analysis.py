@@ -231,13 +231,6 @@ def paired_comparisons(config_a: ModelConfig, config_b: ModelConfig, n: int,
     return results
 
 
-def paired_comparison(config_a: ModelConfig, config_b: ModelConfig, n: int,
-                      crn: bool, seed: int, confidence: float = 0.95,
-                      threads: int = 1) -> PairedResult:
-    """`paired_comparisons` in one mode."""
-    return paired_comparisons(config_a, config_b, n, (crn,), seed, confidence, threads)[0]
-
-
 @dataclass(frozen=True)
 class HalfwidthRow:
     replications: int

@@ -71,17 +71,38 @@ def out_dir(path: str) -> Path:
     return p
 
 
-def reject_non_finite(ctx, param, value):
-    """Option callback: NaN passes every range test, and JSON has no infinity."""
+def positive_finite(ctx, param, value):
+    """Option callback: a finite number > 0; NaN passes every range test, and
+    JSON has no infinity."""
     if not math.isfinite(value):
         raise click.BadParameter("must be a finite number")
+    if value <= 0:
+        raise click.BadParameter(f"{value!r} is not > 0")
     return value
+
+
+def check_confidence(ctx, param, value):
+    """Option callback: a finite level whose 1 - (1 - level) / 2 is below 1."""
+    if 1.0 - (1.0 - positive_finite(ctx, param, value)) / 2.0 == 1.0:
+        raise click.BadParameter(f"{value!r} is too close to 1 for a t quantile")
+    return value
+
+
+def parse_levels(ctx, param, value):
+    """Option callback: comma-separated replication counts >= 2, ascending."""
+    try:
+        levels = [int(x) for x in value.split(",") if x.strip()]
+    except ValueError:
+        levels = None
+    if not levels or min(levels) < 2 or levels != sorted(set(levels)):
+        raise click.BadParameter(f"must be strictly ascending integers >= 2, got {value!r}")
+    return levels
 
 
 seed_option = click.option("--seed", default=12345, show_default=True,
                            type=click.IntRange(min=0))
 confidence_option = click.option(
-    "--confidence", default=0.95, show_default=True, callback=reject_non_finite,
+    "--confidence", default=0.95, show_default=True, callback=check_confidence,
     type=click.FloatRange(0, 1, min_open=True, max_open=True),
 )
 threads_option = click.option(
@@ -151,7 +172,7 @@ def simulate(config_path, seed, reps, confidence, event_log, out, threads):
 @main.command()
 @click.argument("config_path", metavar="CONFIG")
 @click.option("--levels", default="100,500,1000,2500,5000", show_default=True,
-              help="Comma-separated ascending replication counts.")
+              callback=parse_levels, help="Comma-separated ascending replication counts.")
 @seed_option
 @confidence_option
 @out_option
@@ -161,19 +182,15 @@ def table5(config_path, levels, seed, confidence, out, threads):
     """Half-width reduction over replication levels, default vs dedicated
     streams."""
     config = load_config(config_path)
-    try:
-        level_list = [int(x) for x in levels.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"--levels must be integers: {exc}") from exc
     manifest = make_manifest(
         "table5", seed,
-        {"config": config.to_dict(), "levels": level_list, "confidence": confidence},
+        {"config": config.to_dict(), "levels": levels, "confidence": confidence},
         ["table5.csv", "table5.json"],
     )
     table = halfwidth_table(
         config.with_crn_mode("default_stream"),
         config.with_crn_mode("dedicated_streams"),
-        level_list, confidence, seed, threads=threads,
+        levels, confidence, seed, threads=threads,
     )
 
     directory = out_dir(out)
@@ -194,7 +211,7 @@ def table5(config_path, levels, seed, confidence, out, threads):
             ("sum_of_level_differences", table.sum_of_level_differences),
         ],
     )
-    click.echo(f"wrote table5 reports for levels {level_list}")
+    click.echo(f"wrote table5 reports for levels {levels}")
 
 
 @main.command()
@@ -308,7 +325,7 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
 
 @main.command()
 @click.argument("config_path", metavar="CONFIG")
-@click.option("--target", required=True, type=float, callback=reject_non_finite,
+@click.option("--target", required=True, type=float, callback=positive_finite,
               help="Target confidence-interval half width.")
 @click.option("--n0", default=10, show_default=True, type=click.IntRange(min=2))
 @click.option("--n-max", default=10000, show_default=True, type=int)

@@ -304,91 +304,80 @@ def total_usage_cost(pool_stats: dict, rates: CostRates) -> float:
     return total
 
 
-class CrossdockModel:
-    """Executable model: a config plus a concrete resource layout."""
+def run_replication(config: ModelConfig, master_seed: int, replication_index: int,
+                    layout: ResourceLayout | None = None,
+                    collect_log: bool = False) -> ReplicationOutput:
+    """One terminating replication, a pure function of its arguments, run
+    `_CHUNK` orders at a time. An order takes all its draws at arrival, so a
+    chunk's trace (arrival times, types, points, service durations) is drawn
+    as arrays whatever the layout; then each point's dispensers and its
+    manual operatives serve their own orders."""
+    layout = build_model(config, layout)
+    horizon, mean = config.horizon, config.arrival.mean
+    shared = config.crn_mode == "default_stream"
+    s_arrival, s_type, s_point, *s_service = (
+        [stream_create(master_seed, SHARED_SOURCE, replication_index)] * 7 if shared
+        else [stream_create(master_seed, s, replication_index) for s in SOURCE_IDS])
 
-    def __init__(self, config: ModelConfig, layout: ResourceLayout):
-        self.config = config
-        self.layout = layout
+    # one 0.0 entry per unit, its payload the id of the order that last
+    # held the unit; a pool with no units holds one that never frees
+    capacity = {f"{cls}_{pt}": layout.capacity(cls, pt)
+                for cls in RESOURCE_CLASSES for pt in POINTS}
+    units = {name: EventCalendar() for name in capacity}
+    for name, cal in units.items():
+        for release in [0.0] * capacity[name] or [math.inf]:
+            cal.schedule(release, name)
+    # the four queues, in the order of their service streams
+    queues = [(f"manual_{p}", config.manual_service, units[f"skilled_{p}"],
+               units[f"unskilled_{p}"]) for p in POINTS]
+    queues += [(f"dispenser_{p}", config.auto_service, units[f"dispenser_{p}"], None)
+               for p in POINTS]
+    busy, grants = dict.fromkeys(units, 0.0), dict.fromkeys(units, 0)
+    orders = [] if collect_log else None
+    arrivals = completions = 0
 
-    def pool_capacities(self) -> dict:
-        return {
-            f"{cls}_{pt}": self.layout.capacity(cls, pt)
-            for cls in RESOURCE_CLASSES
-            for pt in POINTS
-        }
+    t = -mean * math.log1p(-s_arrival.uniforms(1)[0])
+    while t <= horizon:
+        # the next k orders' arrival gaps, or in the default stream their
+        # rows of (next gap, type, point, service); a few pass the horizon
+        k = min(_CHUNK, int((horizon - t) / mean * 1.05) + 64)
+        if shared:
+            gap_u, type_u, point_u, service_u = s_arrival.uniforms(4 * k).reshape(k, 4).T
+        else:
+            gap_u = s_arrival.uniforms(k)
+        # math.log1p one by one: np.log1p's doubles can differ from it
+        gaps = np.fromiter(map(math.log1p, (-gap_u).tolist()), float, k) * -mean
+        times = np.cumsum(np.concatenate(([t], gaps)))  # a sequential sum
+        n = int(np.searchsorted(times[:k], horizon, "right"))  # arrived by the horizon
+        # only the last chunk has orders past the horizon, and nothing draws
+        # after them, so their draws are not counted
+        s_arrival.draws_taken -= (k - n) * (4 if shared else 1)
+        t = times[n]
+        if not shared:
+            type_u, point_u = s_type.uniforms(n), s_point.uniforms(n)
+        queue_of = 2 * (type_u[:n] < config.p_auto) + (point_u[:n] >= config.p_point_A)
+        if orders is not None:
+            orders.extend([None] * n)
+        for q, (queue, tri, *pools) in enumerate(queues):
+            ids = np.flatnonzero(queue_of == q)
+            u = service_u[ids] if shared else s_service[q].uniforms(len(ids))
+            arrived = zip((ids + arrivals + 1).tolist(), times[ids].tolist(),
+                          triangular_inverse(u, tri.min, tri.mode, tri.max).tolist())
+            completions += _serve(queue, arrived, pools, config.unskilled_factor,
+                                  horizon, busy, grants, orders)
+        arrivals += n
 
-    def run(self, master_seed: int, replication_index: int,
-            collect_log: bool = False) -> ReplicationOutput:
-        """One replication, `_CHUNK` orders at a time. An order takes all its
-        draws at arrival, so a chunk's trace (arrival times, types, points,
-        service durations) is drawn as arrays whatever the layout; then each
-        point's dispensers and its manual operatives serve their own orders."""
-        config = self.config
-        horizon, mean = config.horizon, config.arrival.mean
-        shared = config.crn_mode == "default_stream"
-        s_arrival, s_type, s_point, *s_service = (
-            [stream_create(master_seed, SHARED_SOURCE, replication_index)] * 7 if shared
-            else [stream_create(master_seed, s, replication_index) for s in SOURCE_IDS])
-
-        # one 0.0 entry per unit, its payload the id of the order that last
-        # held the unit; a pool with no units holds one that never frees
-        capacity = self.pool_capacities()
-        units = {name: EventCalendar() for name in capacity}
-        for name, cal in units.items():
-            for release in [0.0] * capacity[name] or [math.inf]:
-                cal.schedule(release, name)
-        # the four queues, in the order of their service streams
-        queues = [(f"manual_{p}", config.manual_service, units[f"skilled_{p}"],
-                   units[f"unskilled_{p}"]) for p in POINTS]
-        queues += [(f"dispenser_{p}", config.auto_service, units[f"dispenser_{p}"], None)
-                   for p in POINTS]
-        busy, grants = dict.fromkeys(units, 0.0), dict.fromkeys(units, 0)
-        orders = [] if collect_log else None
-        arrivals = completions = 0
-
-        t = -mean * math.log1p(-s_arrival.uniforms(1)[0])
-        while t <= horizon:
-            # the next k orders' arrival gaps, or in the default stream their
-            # rows of (next gap, type, point, service); a few pass the horizon
-            k = min(_CHUNK, int((horizon - t) / mean * 1.05) + 64)
-            if shared:
-                gap_u, type_u, point_u, service_u = s_arrival.uniforms(4 * k).reshape(k, 4).T
-            else:
-                gap_u = s_arrival.uniforms(k)
-            # math.log1p one by one: np.log1p's doubles can differ from it
-            gaps = np.fromiter(map(math.log1p, (-gap_u).tolist()), float, k) * -mean
-            times = np.cumsum(np.concatenate(([t], gaps)))  # a sequential sum
-            n = int(np.searchsorted(times[:k], horizon, "right"))  # arrived by the horizon
-            # only the last chunk has orders past the horizon, and nothing draws
-            # after them, so their draws are not counted
-            s_arrival.draws_taken -= (k - n) * (4 if shared else 1)
-            t = times[n]
-            if not shared:
-                type_u, point_u = s_type.uniforms(n), s_point.uniforms(n)
-            queue_of = 2 * (type_u[:n] < config.p_auto) + (point_u[:n] >= config.p_point_A)
-            if orders is not None:
-                orders.extend([None] * n)
-            for q, (queue, tri, *pools) in enumerate(queues):
-                ids = np.flatnonzero(queue_of == q)
-                u = service_u[ids] if shared else s_service[q].uniforms(len(ids))
-                arrived = zip((ids + arrivals + 1).tolist(), times[ids].tolist(),
-                              triangular_inverse(u, tri.min, tri.mode, tri.max).tolist())
-                completions += _serve(queue, arrived, pools, config.unskilled_factor,
-                                      horizon, busy, grants, orders)
-            arrivals += n
-
-        pool_stats = {name: PoolStats(busy[name], capacity[name] * horizon - busy[name],
-                                      grants[name])
-                      for name in units}
-        return ReplicationOutput(
-            total_usage_cost=total_usage_cost(pool_stats, config.cost_rates),
-            arrivals=arrivals,
-            completions=completions,
-            in_system_at_end=arrivals - completions,
-            pools=pool_stats,
-            log=_event_log(orders, horizon) if orders is not None else None,
-        )
+    pool_stats = {name: PoolStats(busy[name], capacity[name] * horizon - busy[name],
+                                  grants[name])
+                  for name in units}
+    return ReplicationOutput(
+        total_usage_cost=total_usage_cost(pool_stats, config.cost_rates),
+        arrivals=arrivals,
+        completions=completions,
+        in_system_at_end=arrivals - completions,
+        pools=pool_stats,
+        log=_event_log(orders, horizon) if orders is not None else None,
+    )
 
 
 def _serve(queue: str, arrived, pools, factor: float, horizon: float,
@@ -471,33 +460,22 @@ def _event_log(orders: list, horizon: float) -> tuple:
     return tuple(log)
 
 
-def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> CrossdockModel:
-    """An executable model of `config`, with `layout` in place of its
-    symmetric one. Raises ConfigurationError when orders of a kind with
-    positive probability have no resource at any point."""
+def build_model(config: ModelConfig, layout: ResourceLayout | None = None) -> ResourceLayout:
+    """The layout that `config`'s replications run: `layout`, else the
+    config's symmetric one. Raises ConfigurationError when orders of a kind
+    with positive probability have no resource at any point."""
     layout = layout or ResourceLayout.symmetric(config)
     problems = []
     if config.p_auto > 0 and not (layout.dispensers_A or layout.dispensers_B):
-        problems.append(
-            "dispensers_per_point: automated orders have positive probability "
-            "but no dispenser exists at any point"
-        )
+        problems.append("dispensers_per_point: automated orders have positive "
+                        "probability but no dispenser exists at any point")
     if config.p_auto < 1 and not (layout.skilled_A or layout.skilled_B
                                   or layout.unskilled_A or layout.unskilled_B):
-        problems.append(
-            "skilled_per_point, unskilled_per_point: manual orders have positive "
-            "probability but no operative exists at any point"
-        )
+        problems.append("skilled_per_point, unskilled_per_point: manual orders have "
+                        "positive probability but no operative exists at any point")
     if problems:
         raise ConfigurationError("config: " + "; ".join(problems))
-    return CrossdockModel(config, layout)
-
-
-def run_replication(config: ModelConfig, master_seed: int, replication_index: int,
-                    layout: ResourceLayout | None = None,
-                    collect_log: bool = False) -> ReplicationOutput:
-    """One terminating replication; a pure function of its arguments."""
-    return build_model(config, layout).run(master_seed, replication_index, collect_log)
+    return layout
 
 
 def _usable_cpus() -> int:

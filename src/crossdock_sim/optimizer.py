@@ -112,7 +112,7 @@ class OptimizationTrace:
 
 
 class Evaluator:
-    """Caching objective evaluator; cache hits never consume budget.
+    """Evaluates each point once, into `evaluations`; repeats cost no budget.
 
     Replications run on `executor`, a worker pool that the caller keeps
     open across evaluations; without one, each call at `problem.threads`
@@ -124,61 +124,44 @@ class Evaluator:
         self.config = problem.base_config.with_crn_mode(
             "dedicated_streams" if problem.crn else "default_stream")
         self.executor = executor
-        self.cache: dict[DecisionPoint, tuple[float, float]] = {}
-        self.evaluations: list[Evaluation] = []
-
-    def evaluated(self, point: DecisionPoint) -> bool:
-        return point in self.cache
+        self.evaluations: dict[DecisionPoint, Evaluation] = {}
 
     def _work(self, point: DecisionPoint) -> tuple:
         """Master seed and layout of the replications at `point`."""
         problem = self.problem
         if not problem.bounds.contains(point):
             raise ConfigurationError(f"point {point} outside bounds {problem.bounds}")
-        if problem.crn:
-            seed = problem.seed
-        else:
-            seed = derive_master_seed(
-                problem.seed, _POINT_SEED_TAG, point.dispensers, point.operatives
-            )
+        seed = problem.seed if problem.crn else derive_master_seed(
+            problem.seed, _POINT_SEED_TAG, point.dispensers, point.operatives)
         return seed, ResourceLayout.from_totals(point.dispensers, point.operatives)
 
-    def _record(self, point: DecisionPoint, outs: list) -> tuple[float, float]:
+    def _record(self, point: DecisionPoint, outs: list) -> None:
         stats = summarize([o.total_usage_cost for o in outs])
-        result = (stats.mean, stats.half_width)
-        self.cache[point] = result
-        self.evaluations.append(
-            Evaluation(len(self.evaluations) + 1, point, stats.mean, stats.half_width)
-        )
-        return result
+        self.evaluations[point] = Evaluation(len(self.evaluations) + 1, point,
+                                             stats.mean, stats.half_width)
 
     def evaluate(self, point: DecisionPoint) -> tuple[float, float]:
+        """(mean cost, half width) at `point`, run unless evaluated before."""
         seed, layout = self._work(point)
-        hit = self.cache.get(point)
-        if hit is not None:
-            return hit
-        outs = run_replications(self.config, seed, range(self.problem.reps_per_eval),
-                                layout=layout, threads=self.problem.threads,
-                                executor=self.executor)
-        return self._record(point, outs)
+        if point not in self.evaluations:
+            self._record(point, run_replications(
+                self.config, seed, range(self.problem.reps_per_eval), layout=layout,
+                threads=self.problem.threads, executor=self.executor))
+        return self.evaluations[point][2:]  # (mean_cost, half_width)
 
     def evaluate_batch(self, points) -> list:
         """`evaluate` for each of `points`, with the replications of every
         point not yet evaluated submitted as one batch; evaluations are
         recorded in the order of `points`."""
         work = {p: self._work(p) for p in points}
-        fresh = [p for p in work if p not in self.cache]
+        fresh = [p for p in work if p not in self.evaluations]
         reps = self.problem.reps_per_eval
         tasks = [(self.config, seed, i, layout)
                  for seed, layout in map(work.get, fresh) for i in range(reps)]
         outs = run_batch(tasks, self.problem.threads, self.executor)
         for k, point in enumerate(fresh):
             self._record(point, outs[k * reps:(k + 1) * reps])
-        return [self.cache[p] for p in points]
-
-    @property
-    def used(self) -> int:
-        return len(self.evaluations)
+        return [self.evaluations[p][2:] for p in points]
 
 
 def neighbors(point: DecisionPoint, bounds: Bounds) -> list:
@@ -194,7 +177,7 @@ def neighbors(point: DecisionPoint, bounds: Bounds) -> list:
 
 
 def _trace_from(evaluator: Evaluator) -> OptimizationTrace:
-    evaluations = tuple(evaluator.evaluations)
+    evaluations = tuple(evaluator.evaluations.values())
     best = min(evaluations, key=lambda ev: ev.mean_cost)  # the first of equals
     return OptimizationTrace(
         evaluations=evaluations,
@@ -223,16 +206,16 @@ def optimize(problem: OptimizationProblem, executor=None) -> OptimizationTrace:
 
     with worker_pool(problem.threads, executor) as pool:
         evaluator = Evaluator(problem, executor=pool)
-        while evaluator.used < problem.budget and len(evaluator.cache) < len(space):
-            fresh = [p for p in space if not evaluator.evaluated(p)]
+        evaluated = evaluator.evaluations
+        while len(evaluated) < min(problem.budget, len(space)):
+            fresh = [p for p in space if p not in evaluated]
             current = fresh[int(restart_rng.integers(len(fresh)))]
             current_val = evaluator.evaluate(current)[0]
-            while evaluator.used < problem.budget:
+            while len(evaluated) < problem.budget:
                 # tabu: never revisited; the budget cuts the batch in move order
                 moves = [nb for nb in neighbors(current, bounds)
-                         if not evaluator.evaluated(nb)][:problem.budget - evaluator.used]
-                best_move = None
-                best_val = current_val
+                         if nb not in evaluated][:problem.budget - len(evaluated)]
+                best_move, best_val = None, current_val
                 for nb, (val, _) in zip(moves, evaluator.evaluate_batch(moves)):
                     if val < best_val:  # strict improvement; first-in-order wins ties
                         best_move, best_val = nb, val

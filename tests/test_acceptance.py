@@ -25,7 +25,7 @@ from crossdock_sim import (
     summarize,
     t_quantile,
 )
-from crossdock_sim.analysis import paired_comparison
+from crossdock_sim.analysis import paired_comparisons
 from crossdock_sim.rng import exponential_inverse, triangular_inverse
 from crossdock_sim.cli import main
 
@@ -50,8 +50,7 @@ def test_criterion_1_sqrt_n_half_width_scaling(paper_config):
 
 def test_criterion_2_crn_paired_variance_reduction(paper_config):
     cfg_b = replace(paper_config, dispensers_per_point=2)
-    crn = paired_comparison(paper_config, cfg_b, 200, True, 12345)
-    ind = paired_comparison(paper_config, cfg_b, 200, False, 12345)
+    crn, ind = paired_comparisons(paper_config, cfg_b, 200, (True, False), 12345)
     ratio = crn.var_diff / ind.var_diff
     assert crn.var_diff < ind.var_diff
     assert ratio <= 0.7  # pilot for this seed: ~4.6e-7

@@ -21,7 +21,7 @@ from crossdock_sim import (
 from crossdock_sim import analysis
 from crossdock_sim.analysis import (
     halfwidth_table,
-    paired_comparison,
+    paired_comparisons,
     replicate_to_precision,
 )
 
@@ -192,20 +192,19 @@ class TestReplicateToPrecision:
 
 class TestPairedComparison:
     def test_identical_configs_crn_all_zero(self, fast_config):
-        res = paired_comparison(fast_config, fast_config, 10, True, 3)
+        [res] = paired_comparisons(fast_config, fast_config, 10, (True,), 3)
         assert res.mean_diff == 0.0
         assert res.var_diff == 0.0
         assert res.half_width_diff == 0.0
 
     def test_identical_configs_independent_noisy(self, fast_config):
-        res = paired_comparison(fast_config, fast_config, 10, False, 3)
+        [res] = paired_comparisons(fast_config, fast_config, 10, (False,), 3)
         assert res.mean_diff != 0.0
         assert res.var_diff > 0.0
 
     def test_variance_identity(self, fast_config):
         cfg_b = replace(fast_config, dispensers_per_point=2)
-        for crn in (True, False):
-            res = paired_comparison(fast_config, cfg_b, 50, crn, 7)
+        for res in paired_comparisons(fast_config, cfg_b, 50, (True, False), 7):
             assert res.var_diff == pytest.approx(
                 res.var_a + res.var_b - 2.0 * res.covariance, rel=1e-9, abs=1e-9
             )
@@ -213,19 +212,18 @@ class TestPairedComparison:
     def test_crn_reduces_difference_variance(self, fast_config):
         # pilot (seed 12345, n=200): ratio ~= 7.9e-6
         cfg_b = replace(fast_config, dispensers_per_point=2)
-        crn = paired_comparison(fast_config, cfg_b, 200, True, 12345)
-        ind = paired_comparison(fast_config, cfg_b, 200, False, 12345)
+        crn, ind = paired_comparisons(fast_config, cfg_b, 200, (True, False), 12345)
         assert crn.var_diff < ind.var_diff
         assert crn.var_diff / ind.var_diff <= 0.7
 
     def test_confounded_configs_rejected(self, fast_config):
         slower = replace(fast_config, horizon=5000.0)
         with pytest.raises(ComparisonError):
-            paired_comparison(fast_config, slower, 10, True, 1)
+            paired_comparisons(fast_config, slower, 10, (True,), 1)
 
     def test_n_too_small(self, fast_config):
         with pytest.raises(ConfigurationError):
-            paired_comparison(fast_config, fast_config, 1, True, 1)
+            paired_comparisons(fast_config, fast_config, 1, (True,), 1)
 
 
 class TestHalfwidthTable:

@@ -1,5 +1,6 @@
 """Smoke tests of the benchmark: short runs exit 0 with nothing on stderr
-and end with a strict JSON result that names every metric they report."""
+and end with a strict JSON result that names every metric they report, and
+the baseline script's layers run."""
 
 import json
 import subprocess
@@ -34,3 +35,15 @@ def test_traced_run_reports_every_per_layer_metric():
 def test_untraced_pooled_run_reports_every_end_to_end_metric():
     result = bench_result("--workload", "optimize-crn", "--trace", "0")
     assert {metric["name"] for metric in DECLARED["end_to_end"]} <= set(result["metrics"])
+
+
+def test_baseline_layers_run(monkeypatch):
+    """The layers `bench/baselines.py` measures through `bench/micro.py`, run
+    once in process, so that a change breaking them fails here too."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import micro
+
+    config = micro.paper_config()
+    for mode in ("dedicated_streams", "default_stream"):
+        assert micro.replication_ms(config.with_crn_mode(mode)) > 0
+    assert micro.optimize_s(config, threads=1) > 0

@@ -8,7 +8,6 @@ from click.testing import CliRunner
 import crossdock_sim.model as model_mod
 from crossdock_sim import cli
 from crossdock_sim.cli import main
-from crossdock_sim.model import CrossdockModel
 from crossdock_sim.reporting import write_json
 
 
@@ -90,6 +89,14 @@ def test_negative_seed_rejected_before_running(runner, config_file, tmp_path, na
     (["precision", "CONFIG", "--target", "1", "--n0", "1"], "--n0"),
     (["precision", "CONFIG", "--target", "1", "--n0", "5", "--n-max", "3"], "--n-max"),
     (["precision", "CONFIG", "--target", "1", "--n-max", "3", "--n0", "5"], "--n-max"),
+    (["precision", "CONFIG", "--target", "0"], "--target"),
+    (["precision", "CONFIG", "--target", "-1"], "--target"),
+    (["simulate", "CONFIG", "--reps", "2", "--confidence", "0.9999999999999999"],
+     "--confidence"),
+    (["table5", "CONFIG", "--levels", "1,5"], "--levels"),
+    (["table5", "CONFIG", "--levels", "5,3"], "--levels"),
+    (["table5", "CONFIG", "--levels", ","], "--levels"),
+    (["table5", "CONFIG", "--levels", "a"], "--levels"),
 ])
 def test_bad_count_rejected_naming_its_option(runner, config_file, tmp_path, args, option):
     out = tmp_path / "x"
@@ -199,13 +206,13 @@ class TestSimulate:
     def test_event_log_runs_each_replication_once(self, runner, config_file, tmp_path,
                                                   monkeypatch):
         runs = []
-        original = CrossdockModel.run
+        original = model_mod.run_replication
 
-        def counted(self, *args, **kwargs):
+        def counted(*args, **kwargs):
             runs.append(args)
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(CrossdockModel, "run", counted)
+        monkeypatch.setattr(model_mod, "run_replication", counted)
         res = runner.invoke(main, ["simulate", config_file, "--reps", "3", "--event-log",
                                    "--out", str(tmp_path / "r")])
         assert res.exit_code == 0, res.output
@@ -253,7 +260,7 @@ class TestTable5:
         res = runner.invoke(main, ["table5", config_file, "--levels", "5,x",
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
-        assert "--levels must be integers" in res.output
+        assert "'--levels': must be strictly ascending integers" in res.output
 
 
 class TestCompare:
@@ -287,13 +294,13 @@ class TestCompare:
     def test_config_a_runs_once(self, runner, config_file, tmp_path, monkeypatch,
                                 extra, runs):
         calls = []
-        original = CrossdockModel.run
+        original = model_mod.run_replication
 
-        def counted(self, *args, **kwargs):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(CrossdockModel, "run", counted)
+        monkeypatch.setattr(model_mod, "run_replication", counted)
         res = runner.invoke(main, ["compare", config_file, config_file, "--reps", "3",
                                    "--threads", "1", *extra, "--out", str(tmp_path / "r")])
         assert res.exit_code == 0, res.output

@@ -4,8 +4,11 @@ import os
 from dataclasses import fields, replace
 from pathlib import Path
 
+import event_oracle
 import numpy as np
 import pytest
+from event_oracle import run_oracle
+from test_engine_oracle import assert_same_run
 
 import crossdock_sim.model as model_mod
 from crossdock_sim import (
@@ -43,6 +46,7 @@ def fake_streams(monkeypatch, per_source):
         return FakeStream(per_source[source_id])
 
     monkeypatch.setattr(model_mod, "stream_create", factory)
+    monkeypatch.setattr(event_oracle, "stream_create", factory)
 
 
 class TestConfigParsing:
@@ -175,7 +179,9 @@ class TestLayout:
 
 class TestBuildModel:
     def test_paper_base_pool_capacities(self, paper_config):
-        caps = build_model(paper_config).pool_capacities()
+        layout = build_model(paper_config)
+        caps = {f"{cls}_{pt}": layout.capacity(cls, pt)
+                for cls in model_mod.RESOURCE_CLASSES for pt in model_mod.POINTS}
         assert caps == {
             "skilled_A": 2, "unskilled_A": 2, "dispenser_A": 1,
             "skilled_B": 2, "unskilled_B": 2, "dispenser_B": 1,
@@ -285,6 +291,74 @@ class TestServiceTimes:
         grants = [r for r in out.log if r[1] == "grant" and r[3] == "dispenser_A"]
         completes = [r for r in out.log if r[1] == "complete"]
         assert completes[0][0] - grants[0][0] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExactTies:
+    """Events at one instant, each run checked against the event loop.
+    Arrivals come every 1.0 min exactly, all at point A; the triangle
+    (0, 4, 4) turns a service uniform u into 4 sqrt(u) min, so 1/16, 1/4
+    and 9/16 give 1, 2 and 3 min. An order type uniform of 0.0 makes an
+    automated order, 0.9 a manual one. `units` are the skilled, unskilled
+    and dispenser counts at A; B has none."""
+
+    @staticmethod
+    def run(paper_config, monkeypatch, horizon, units, order_type, manual, auto):
+        triangle = {"kind": "triangular", "min": 0.0, "mode": 4.0, "max": 4.0}
+        config = ModelConfig.from_dict({
+            **paper_config.to_dict(),
+            "arrival": {"kind": "exponential", "mean": 1 / math.log(2)},
+            "manual_service": triangle, "auto_service": triangle,
+            "unskilled_factor": 1.0, "p_auto": 0.5, "p_point_A": 1.0, "horizon": horizon,
+        })
+        fake_streams(monkeypatch, {
+            "arrival": [0.5], "order_type": order_type, "point_choice": [0.0],
+            "manual_service_point_A": manual, "manual_service_point_B": [0.5],
+            "auto_service_point_A": auto, "auto_service_point_B": [0.5],
+        })
+        skilled, unskilled, dispensers = units
+        layout = ResourceLayout(skilled, 0, unskilled, 0, dispensers, 0)
+        out = run_replication(config, 0, 0, layout, collect_log=True)
+        assert_same_run(out, run_oracle(config, 0, 0, layout, collect_log=True))
+        assert [row[0] for row in out.log if row[1] == "arrival"] == list(
+            range(1, math.floor(horizon) + 1))
+        return out
+
+    @staticmethod
+    def granted(out) -> dict:
+        return {row[2]: row[3] for row in out.log if row[1] == "grant"}
+
+    def test_order_ending_at_the_horizon_completes(self, paper_config, monkeypatch):
+        # order 1 takes the dispenser from 1 to 4; order 2 holds the one
+        # skilled operative from 2 to 5, so orders 3 and 4 wait past the end
+        out = self.run(paper_config, monkeypatch, 4.0, (1, 0, 1),
+                       [0.0, 0.9, 0.9, 0.9], [9 / 16], [9 / 16])
+        assert out.completions == 1
+        assert [row[:3] for row in out.log if row[1] == "complete"] == [(4.0, "complete", 1)]
+
+    def test_order_arriving_at_the_horizon_is_granted(self, paper_config, monkeypatch):
+        # three dispensers, each order holding one for 3 min
+        out = self.run(paper_config, monkeypatch, 3.0, (1, 0, 3),
+                       [0.0], [0.5], [9 / 16])
+        assert out.pools["dispenser_A"].grants == 3
+        assert self.granted(out)[3] == "dispenser_A"
+        assert out.completions == 0
+
+    def test_skilled_unit_freed_at_an_arrival_is_taken(self, paper_config, monkeypatch):
+        # order 1 holds the skilled operative from 1 to 3, order 2 is
+        # automated, and order 3 arrives at 3 with the unskilled one idle
+        out = self.run(paper_config, monkeypatch, 3.5, (1, 1, 1),
+                       [0.9, 0.0, 0.9], [1 / 4], [1 / 4])
+        assert self.granted(out) == {1: "skilled_A", 2: "dispenser_A", 3: "skilled_A"}
+        assert out.pools["unskilled_A"].grants == 0
+
+    def test_waiting_order_takes_skilled_unit_freed_with_unskilled(self, paper_config,
+                                                                   monkeypatch):
+        # orders 1 (skilled, 1 to 4) and 2 (unskilled, 2 to 4) free their
+        # units at 4, where order 3 waits; order 4 arrives then too
+        out = self.run(paper_config, monkeypatch, 4.5, (1, 1, 1),
+                       [0.9], [9 / 16, 1 / 4, 1 / 16, 1 / 16], [0.5])
+        assert self.granted(out) == {1: "skilled_A", 2: "unskilled_A", 3: "skilled_A",
+                                     4: "unskilled_A"}
 
 
 class TestCost:

@@ -56,7 +56,7 @@ class TestEvaluate:
         first = ev.evaluate(DecisionPoint(2, 2))
         second = ev.evaluate(DecisionPoint(2, 2))
         assert first == second
-        assert ev.used == 1  # cache hit consumed no budget
+        assert len(ev.evaluations) == 1  # the repeat consumed no budget
 
     def test_pure_function_of_point_under_crn(self, problem):
         a = Evaluator(problem).evaluate(DecisionPoint(2, 3))

@@ -43,7 +43,8 @@ def test_busy_time_bounded_by_capacity_and_routed_work(fast_config, monkeypatch,
     config = replace(fast_config, arrival=replace(fast_config.arrival, mean=mean))
     layout = ResourceLayout.from_totals(*totals) if totals else None
     out = run_replication(config, 4, 0, layout)
-    capacity = build_model(config, layout).pool_capacities()
+    layout = build_model(config, layout)
+    capacity = {name: layout.capacity(*name.split("_")) for name in out.pools}
     work = {queue: math.fsum(duration for *_, duration in orders)
             for queue, orders in queues.items()}
     busy = {name: stats.busy_time for name, stats in out.pools.items()}
