@@ -20,7 +20,6 @@ import contextlib
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -328,9 +327,9 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
         for release in [0.0] * capacity[name] or [math.inf]:
             cal.schedule(release, name)
     # the four queues, in the order of their service streams
-    queues = [(f"manual_{p}", config.manual_service, units[f"skilled_{p}"],
-               units[f"unskilled_{p}"]) for p in POINTS]
-    queues += [(f"dispenser_{p}", config.auto_service, units[f"dispenser_{p}"], None)
+    queues = [(f"manual_{p}", config.manual_service, f"skilled_{p}", f"unskilled_{p}")
+              for p in POINTS]
+    queues += [(f"dispenser_{p}", config.auto_service, f"dispenser_{p}", None)
                for p in POINTS]
     busy, grants = dict.fromkeys(units, 0.0), dict.fromkeys(units, 0)
     orders = [] if collect_log else None
@@ -358,13 +357,27 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
         queue_of = 2 * (type_u[:n] < config.p_auto) + (point_u[:n] >= config.p_point_A)
         if orders is not None:
             orders.extend([None] * n)
-        for q, (queue, tri, *pools) in enumerate(queues):
+        for q, (queue, tri, first, second) in enumerate(queues):
             ids = np.flatnonzero(queue_of == q)
             u = service_u[ids] if shared else s_service[q].uniforms(len(ids))
-            arrived = zip((ids + arrivals + 1).tolist(), times[ids].tolist(),
-                          triangular_inverse(u, tri.min, tri.mode, tri.max).tolist())
-            completions += _serve(queue, arrived, pools, config.unskilled_factor,
-                                  horizon, busy, grants, orders)
+            dur = triangular_inverse(u, tri.min, tri.mode, tri.max)
+            arrived = zip((ids + arrivals + 1).tolist(), times[ids].tolist(), dur.tolist())
+            start, slow = _serve(queue, arrived, (units[first], units.get(second)),
+                                 config.unskilled_factor, orders)
+            start = np.fromiter(start, float, len(start))  # never falls: granted orders first
+            granted = int(np.searchsorted(start, horizon, "right"))
+            slow = np.array(slow, np.intp)
+            slow = slow[:np.searchsorted(slow, granted)]
+            dur[slow] *= config.unskilled_factor
+            took = start[:granted] + dur[:granted]
+            completions += int(np.count_nonzero(took <= horizon))
+            took = np.minimum(took, horizon, out=took) - start[:granted]
+            for name, part in ([(first, np.delete(took, slow)), (second, took[slow])]
+                               if second else [(first, took)]):
+                grants[name] += len(part)
+                if len(part):  # summed in order, carrying on from the last chunk
+                    part[0] += busy[name]
+                    busy[name] = float(np.cumsum(part, out=part)[-1])
         arrivals += n
 
     pool_stats = {name: PoolStats(busy[name], capacity[name] * horizon - busy[name],
@@ -380,10 +393,9 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
     )
 
 
-def _serve(queue: str, arrived, pools, factor: float, horizon: float,
-           busy: dict, grants: dict, orders: list | None) -> int:
-    """Serve one queue's `(id, arrival, duration)` orders in arrival order,
-    adding to `busy` and `grants`; returns how many complete by the horizon.
+def _serve(queue: str, arrived, pools, factor: float, orders: list | None):
+    """Serve one queue's `(id, arrival, duration)` orders in arrival order;
+    returns their starts and the positions of the orders the second pool served.
 
     An order takes the unit that frees first, from max(arrival, release) to
     the end of its service (the c-server FIFO recursion of Kiefer and
@@ -392,7 +404,7 @@ def _serve(queue: str, arrived, pools, factor: float, horizon: float,
     (slower by `factor`), else whichever frees first, skilled on a tie.
     `orders[id - 1]` gets the order's record."""
     first, second = pools
-    completions = 0
+    starts, slow = [], []
     for i, t, dur in arrived:
         pool = first
         if second is not None:
@@ -400,17 +412,14 @@ def _serve(queue: str, arrived, pools, factor: float, horizon: float,
             if first_free > t and second.peek() < first_free:
                 pool = second
                 dur *= factor
+                slow.append(len(starts))
         release, name, holder = pool.next_event()
         start = release if release > t else t
-        end = start + dur
-        pool.schedule(end, name, i)
-        if start <= horizon:
-            grants[name] += 1
-            busy[name] += (end if end < horizon else horizon) - start
-            completions += end <= horizon
+        pool.schedule(start + dur, name, i)
+        starts.append(start)
         if orders is not None:
-            orders[i - 1] = (t, queue, name, start, end, holder if release > t else None)
-    return completions
+            orders[i - 1] = (t, queue, name, start, start + dur, holder if release > t else None)
+    return starts, slow
 
 
 def _event_log(orders: list, horizon: float) -> tuple:
@@ -493,6 +502,7 @@ def worker_pool(threads: int, executor=None):
     threads = min(threads, _usable_cpus())
     if executor is not None or threads <= 1:
         return contextlib.nullcontext(executor)
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when needed
     return ProcessPoolExecutor(max_workers=threads)
 
 

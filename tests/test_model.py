@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -106,8 +109,8 @@ class TestConfigParsing:
             ModelConfig.from_dict(data)
 
 
-PAPER = json.loads(
-    (Path(__file__).resolve().parent.parent / "configs" / "paper-base.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+PAPER = json.loads((ROOT / "configs" / "paper-base.json").read_text())
 HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, True, "5", None, [], 1e9]
 # one more hostile value, listed after the others so that the index-based
 # ids of the cases above stay as they are
@@ -222,10 +225,15 @@ class TestBuildModel:
         with pytest.raises(ConfigurationError, match="replication_index"):
             run_replication(fast_config, 1, -1)
 
-    def test_direct_run_rejects_bad_config(self, fast_config):
-        run_replication(fast_config, 1, 0)  # the valid config's check is now cached
+    def test_bad_config_cannot_be_built(self, fast_config):
         with pytest.raises(ConfigurationError, match="p_auto"):
-            run_replication(replace(fast_config, p_auto=2.0), 1, 0)
+            replace(fast_config, p_auto=2.0)
+
+    def test_direct_run_rejects_bad_config(self, fast_config):
+        # the config is valid; the layout leaves its automated orders no dispenser
+        layout = replace(ResourceLayout.symmetric(fast_config), dispensers_A=0, dispensers_B=0)
+        with pytest.raises(ConfigurationError, match="dispensers_per_point"):
+            run_replication(fast_config, 1, 0, layout)
 
 
 class TestRouting:
@@ -493,9 +501,22 @@ class TestReplicationRuns:
     def test_worker_pool_capped_at_usable_cpus(self, monkeypatch):
         # records the size of the pool it would start; starts no process
         requested = []
-        monkeypatch.setattr(model_mod, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: requested.append(max_workers))
         model_mod.worker_pool(10**6)
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
         assert requested == ([cpus] if cpus > 1 else [])  # one CPU runs in process
+
+    def test_in_process_run_imports_no_multiprocessing(self):
+        """A fresh interpreter that imports the CLI, builds the paper model
+        and runs a replication in process loads no multiprocessing module."""
+        code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+                "import crossdock_sim.cli as cli; "
+                "from crossdock_sim.model import build_model, run_replications; "
+                f"config = cli.load_config({str(ROOT / 'configs' / 'paper-base.json')!r}); "
+                "build_model(config); run_replications(config, 1, range(2), threads=1); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert proc.stdout.strip() == "[]"

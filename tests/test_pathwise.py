@@ -4,8 +4,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from test_engine_oracle import SWEEP_CASES
 from test_trace import record_queues
 
+import crossdock_sim.model as model_mod
 from crossdock_sim import ResourceLayout, build_model, run_replication
 
 # busy time is a sum of rounded interval lengths, the bounds sums of durations
@@ -54,3 +56,30 @@ def test_busy_time_bounded_by_capacity_and_routed_work(fast_config, monkeypatch,
         assert busy[f"dispenser_{point}"] <= work[f"dispenser_{point}"] * (1 + REL_TOL)
         manual = busy[f"skilled_{point}"] + busy[f"unskilled_{point}"]
         assert manual <= config.unskilled_factor * work[f"manual_{point}"] * (1 + REL_TOL)
+
+
+@pytest.mark.parametrize("config, layout, chunk, seed, index", SWEEP_CASES,
+                         ids=[f"case{i}" for i in range(len(SWEEP_CASES))])
+def test_accounting_recounted_from_event_log(monkeypatch, config, layout, chunk, seed,
+                                             index):
+    """Each pool's grants and busy time, and the completions, recounted from
+    the event log equal the run's bit for bit. A pool's busy time is the sum,
+    in order-id order, of each grant's completion time (else the horizon)
+    minus its grant time. Without the log the run is the same in every
+    other field."""
+    monkeypatch.setattr(model_mod, "_CHUNK", chunk)
+    out = run_replication(config, seed, index, layout, collect_log=True)
+    granted = {name: {} for name in out.pools}  # pool -> order id -> grant time
+    completed = {}  # order id -> completion time
+    for time, kind, order, pool, *_ in out.log:
+        if kind == "grant":
+            granted[pool][order] = time
+        elif kind == "complete":
+            completed[order] = time
+    for name, grants in granted.items():
+        busy = 0.0
+        for order in sorted(grants):
+            busy += completed.get(order, config.horizon) - grants[order]
+        assert (out.pools[name].grants, out.pools[name].busy_time) == (len(grants), busy)
+    assert out.completions == len(completed)
+    assert replace(out, log=None) == run_replication(config, seed, index, layout)
