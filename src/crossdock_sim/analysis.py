@@ -255,12 +255,11 @@ class HalfwidthTable:
     confidence: float
 
 
-def halfwidth_table(config_default_stream: ModelConfig,
-                    config_dedicated: ModelConfig, levels,
-                    confidence: float = 0.95, seed: int = 12345,
-                    threads: int = 1) -> HalfwidthTable:
-    """Compare half-width decay over replication levels between the
-    default-stream model and the dedicated-streams model.
+def halfwidth_table(config: ModelConfig, levels, confidence: float = 0.95,
+                    seed: int = 12345, threads: int = 1) -> HalfwidthTable:
+    """Compare half-width decay over replication levels between `config`
+    in the default-stream mode and in the dedicated-streams mode; its own
+    `crn_mode` does not matter.
 
     Replication i of each model is computed once and shared by every
     level containing it (levels are nested prefixes by construction).
@@ -274,8 +273,8 @@ def halfwidth_table(config_default_stream: ModelConfig,
         raise ConfigurationError("levels must be strictly ascending")
 
     top = levels[-1]
-    outs = run_batch([(config_default_stream, seed, i, None) for i in range(top)]
-                     + [(config_dedicated, seed, i, None) for i in range(top)], threads)
+    models = [config.with_crn_mode(mode) for mode in ("default_stream", "dedicated_streams")]
+    outs = run_batch([(model, seed, i, None) for model in models for i in range(top)], threads)
     costs = {"default": [o.total_usage_cost for o in outs[:top]],
              "crn": [o.total_usage_cost for o in outs[top:]]}
 

@@ -187,11 +187,7 @@ def table5(config_path, levels, seed, confidence, out, threads):
         {"config": config.to_dict(), "levels": levels, "confidence": confidence},
         ["table5.csv", "table5.json"],
     )
-    table = halfwidth_table(
-        config.with_crn_mode("default_stream"),
-        config.with_crn_mode("dedicated_streams"),
-        levels, confidence, seed, threads=threads,
-    )
+    table = halfwidth_table(config, levels, confidence, seed, threads=threads)
 
     directory = out_dir(out)
     write_json(directory / "table5.json",

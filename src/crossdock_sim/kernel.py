@@ -54,29 +54,16 @@ class EventCalendar:
         return time, action, payload
 
 
-class BusyStat:
-    """Time-weighted integral of busy units plus a grant tally."""
-
-    __slots__ = ("integral", "last_change", "grants")
-
-    def __init__(self):
-        self.integral = 0.0
-        self.last_change = 0.0
-        self.grants = 0
-
-    def advance(self, busy_units: int, now: float) -> None:
-        self.integral += busy_units * (now - self.last_change)
-        self.last_change = now
-
-
 class ResourcePool:
-    """Capacitated resource with a FIFO wait queue.
+    """Capacitated resource with a FIFO wait queue, a grant tally and a
+    time-weighted integral of busy units.
 
     Capacity 0 is allowed: every seize enqueues and nothing is ever
     granted, modeling a picking point with none of that resource.
     """
 
-    __slots__ = ("name", "capacity", "busy_units", "wait_queue", "stats")
+    __slots__ = ("name", "capacity", "busy_units", "wait_queue", "grants", "integral",
+                 "last_change")
 
     def __init__(self, name: str, capacity: int):
         if capacity < 0:
@@ -85,15 +72,19 @@ class ResourcePool:
         self.capacity = capacity
         self.busy_units = 0
         self.wait_queue: deque = deque()
-        self.stats = BusyStat()
+        self.grants, self.integral, self.last_change = 0, 0.0, 0.0
+
+    def _advance(self, clock: float) -> None:
+        self.integral += self.busy_units * (clock - self.last_change)
+        self.last_change = clock
 
     def seize(self, entity, clock: float) -> bool:
         """Grant a unit now if one is free, else enqueue. Returns True on
         grant."""
         if self.busy_units < self.capacity:
-            self.stats.advance(self.busy_units, clock)
+            self._advance(clock)
             self.busy_units += 1
-            self.stats.grants += 1
+            self.grants += 1
             return True
         self.wait_queue.append(entity)
         return False
@@ -105,9 +96,9 @@ class ResourcePool:
         if self.busy_units < 1:
             raise SimulationLogicError(f"pool {self.name}: release with no busy units")
         if self.wait_queue:
-            self.stats.grants += 1
+            self.grants += 1
             return self.wait_queue.popleft()
-        self.stats.advance(self.busy_units, clock)
+        self._advance(clock)
         self.busy_units -= 1
         return None
 
@@ -118,7 +109,5 @@ class ResourcePool:
         identity busy + idle == capacity * horizon holds exactly up to
         float rounding.
         """
-        self.stats.advance(self.busy_units, horizon)
-        busy = self.stats.integral
-        idle = self.capacity * horizon - busy
-        return busy, idle, self.stats.grants
+        self._advance(horizon)
+        return self.integral, self.capacity * horizon - self.integral, self.grants

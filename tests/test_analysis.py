@@ -15,6 +15,7 @@ from crossdock_sim import (
     ComparisonError,
     ConfigurationError,
     InsufficientDataError,
+    run_replications,
     summarize,
     t_quantile,
 )
@@ -164,8 +165,6 @@ class TestReplicateToPrecision:
 
     def test_halved_target_growth_envelope(self, fast_config):
         # pilot (seed 12345): n0=10 half width 11.983, n_used 68
-        from crossdock_sim import run_replications
-
         outs = run_replications(fast_config, 12345, range(10))
         hw0 = summarize([o.total_usage_cost for o in outs]).half_width
         res = replicate_to_precision(fast_config, 12345, 0.95, hw0 / 2, 10, 1000)
@@ -228,23 +227,30 @@ class TestPairedComparison:
 
 class TestHalfwidthTable:
     def test_single_level_decrement_zero(self, fast_config):
-        table = halfwidth_table(
-            fast_config.with_crn_mode("default_stream"), fast_config, [20], seed=4
-        )
+        table = halfwidth_table(fast_config, [20], seed=4)
         assert len(table.rows) == 1
         assert table.first_minus_last_halfwidth_default_stream == 0.0
         assert table.first_minus_last_halfwidth_crn == 0.0
 
-    def test_identical_models_zero_differences(self, fast_config):
-        table = halfwidth_table(fast_config, fast_config, [10, 20, 30], seed=4)
-        assert all(r.difference == 0.0 for r in table.rows)
-        assert table.sum_of_level_differences == 0.0
+    def test_one_config_run_in_both_stream_modes(self, fast_config):
+        """The input's own crn_mode is ignored, and each level's half widths
+        are those of the first n replications in each stream mode."""
+        levels = [10, 20, 30]
+        table = halfwidth_table(fast_config, levels, seed=4)
+        assert table == halfwidth_table(fast_config.with_crn_mode("default_stream"),
+                                        levels, seed=4)
+        costs = {mode: [o.total_usage_cost for o in run_replications(
+                     fast_config.with_crn_mode(mode), 4, range(levels[-1]))]
+                 for mode in ("default_stream", "dedicated_streams")}
+        for row in table.rows:
+            n = row.replications
+            assert row.halfwidth_default_stream == summarize(
+                costs["default_stream"][:n]).half_width
+            assert row.halfwidth_crn == summarize(costs["dedicated_streams"][:n]).half_width
 
     def test_row_shape_and_metrics(self, fast_config):
         levels = [10, 20, 40]
-        table = halfwidth_table(
-            fast_config.with_crn_mode("default_stream"), fast_config, levels, seed=4
-        )
+        table = halfwidth_table(fast_config, levels, seed=4)
         assert [r.replications for r in table.rows] == levels
         first, last = table.rows[0], table.rows[-1]
         assert table.first_minus_last_halfwidth_default_stream == pytest.approx(
@@ -257,4 +263,4 @@ class TestHalfwidthTable:
     def test_levels_validation(self, fast_config):
         for bad in ([], [5, 3], [2, 2, 4], [1, 10]):
             with pytest.raises(ConfigurationError):
-                halfwidth_table(fast_config, fast_config, bad, seed=1)
+                halfwidth_table(fast_config, bad, seed=1)

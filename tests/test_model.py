@@ -307,16 +307,18 @@ class TestExactTies:
     (0, 4, 4) turns a service uniform u into 4 sqrt(u) min, so 1/16, 1/4
     and 9/16 give 1, 2 and 3 min. An order type uniform of 0.0 makes an
     automated order, 0.9 a manual one. `units` are the skilled, unskilled
-    and dispenser counts at A; B has none."""
+    and dispenser counts at A; B has none. Unskilled operatives are as
+    fast as skilled ones unless `factor` says otherwise."""
 
     @staticmethod
-    def run(paper_config, monkeypatch, horizon, units, order_type, manual, auto):
+    def run(paper_config, monkeypatch, horizon, units, order_type, manual, auto,
+            factor=1.0):
         triangle = {"kind": "triangular", "min": 0.0, "mode": 4.0, "max": 4.0}
         config = ModelConfig.from_dict({
             **paper_config.to_dict(),
             "arrival": {"kind": "exponential", "mean": 1 / math.log(2)},
             "manual_service": triangle, "auto_service": triangle,
-            "unskilled_factor": 1.0, "p_auto": 0.5, "p_point_A": 1.0, "horizon": horizon,
+            "unskilled_factor": factor, "p_auto": 0.5, "p_point_A": 1.0, "horizon": horizon,
         })
         fake_streams(monkeypatch, {
             "arrival": [0.5], "order_type": order_type, "point_choice": [0.0],
@@ -367,6 +369,22 @@ class TestExactTies:
                        [0.9], [9 / 16, 1 / 4, 1 / 16, 1 / 16], [0.5])
         assert self.granted(out) == {1: "skilled_A", 2: "unskilled_A", 3: "skilled_A",
                                      4: "unskilled_A"}
+
+    def test_extra_unskilled_operative_can_lower_completions(self, paper_config,
+                                                             monkeypatch):
+        """The manual pools are not monotone in their capacity, so the
+        monotonicity under which CRN must reduce the variance of a
+        difference (Glasserman and Yao, 1992) does not hold for them.
+        Orders 1 and 2 are manual (2 min skilled, 6 min unskilled), orders 3
+        to 5 automated (1/64 gives 0.5 min). Order 1 holds the skilled
+        operative from 1 to 3. Alone, it serves order 2 from 3 to 5; with
+        an idle unskilled operative, order 2 takes that one at 2 until 8."""
+        alone, helped = (self.run(paper_config, monkeypatch, 5.25, (1, unskilled, 1),
+                                  [0.9, 0.9, 0.0, 0.0, 0.0], [1 / 4], [1 / 64], factor=3.0)
+                         for unskilled in (0, 1))
+        assert self.granted(alone)[2] == "skilled_A"
+        assert self.granted(helped)[2] == "unskilled_A"
+        assert (alone.completions, helped.completions) == (4, 3)
 
 
 class TestCost:

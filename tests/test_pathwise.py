@@ -1,4 +1,5 @@
-"""Relations that hold on every sample path of the engine, whatever the draws."""
+"""Relations that hold on every sample path of the engine, whatever the
+draws, and the mean dispenser wait that queueing theory gives."""
 
 import math
 from dataclasses import replace
@@ -8,7 +9,7 @@ from test_engine_oracle import SWEEP_CASES
 from test_trace import record_queues
 
 import crossdock_sim.model as model_mod
-from crossdock_sim import ResourceLayout, build_model, run_replication
+from crossdock_sim import ResourceLayout, build_model, run_replication, summarize
 
 # busy time is a sum of rounded interval lengths, the bounds sums of durations
 REL_TOL = 1e-9
@@ -32,6 +33,35 @@ def test_more_dispensers_never_delay_a_grant(fast_config, seed):
         assert all(more[i] <= t for i, t in fewer.items())
     # a queue formed at one dispenser, so the relation was put to the test
     assert any(grants[-1][i] < t for i, t in grants[0].items())
+
+
+def test_dispenser_mean_wait_matches_pollaczek_khinchine(paper_config):
+    """At paper-base rates each dispenser is an M/G/1 queue: Poisson orders
+    at lambda = 0.05/min, services triangular (1, 2, 4) with E[S] = 7/3 and
+    E[S^2] = 35/6, so rho = 7/60 and the mean wait in queue is
+    Wq = lambda E[S^2] / (2 (1 - rho)) = 0.1651 min. Each replication's mean
+    wait at dispenser_A is its orders' grant time minus arrival time; an
+    order not granted by the horizon has its wait cut off there.
+    Start-up bias: the queue starts empty and relaxes within about
+    E[S] / (1 - sqrt(rho))^2 = 5.4 min, so only the first few of some 1,440
+    orders a replication see a queue emptier than steady state, and the
+    cut-off touches the few waiting at the end; both shift the mean by far
+    less than the tolerance, 3 standard errors over 40 replications."""
+    lam, mean, second = 0.05, 7 / 3, 35 / 6
+    wq = lam * second / (2 * (1 - lam * mean))
+    waits = []
+    for index in range(40):
+        log = run_replication(paper_config, 12345, index, collect_log=True).log
+        arrived = {order: time for time, kind, order, *_ in log if kind == "arrival"}
+        queued = {order for _, kind, order, pool, *_ in log
+                  if kind == "enqueue" and pool == "dispenser_A"}
+        granted = {order: time for time, kind, order, pool, *_ in log
+                   if kind == "grant" and pool == "dispenser_A"}
+        orders = queued | granted.keys()
+        waits.append(math.fsum(granted.get(order, paper_config.horizon) - arrived[order]
+                               for order in orders) / len(orders))
+    stats = summarize(waits)
+    assert abs(stats.mean - wq) <= 3 * stats.sd / math.sqrt(40)
 
 
 @pytest.mark.parametrize("totals", [None, (1, 1), (2, 3), (6, 4)])
@@ -66,7 +96,9 @@ def test_accounting_recounted_from_event_log(monkeypatch, config, layout, chunk,
     the event log equal the run's bit for bit. A pool's busy time is the sum,
     in order-id order, of each grant's completion time (else the horizon)
     minus its grant time. Without the log the run is the same in every
-    other field."""
+    other field. Little's law per queue: the logged queue length integrated
+    over [0, horizon] is the time its orders waited, each from its enqueue
+    to its grant, else to the horizon."""
     monkeypatch.setattr(model_mod, "_CHUNK", chunk)
     out = run_replication(config, seed, index, layout, collect_log=True)
     granted = {name: {} for name in out.pools}  # pool -> order id -> grant time
@@ -83,3 +115,19 @@ def test_accounting_recounted_from_event_log(monkeypatch, config, layout, chunk,
         assert (out.pools[name].grants, out.pools[name].busy_time) == (len(grants), busy)
     assert out.completions == len(completed)
     assert replace(out, log=None) == run_replication(config, seed, index, layout)
+    # a pool's rows count under its queue; a time's last row sets the length
+    queues = [f"{kind}_{point}" for kind in ("manual", "dispenser") for point in "AB"]
+    length, since = dict.fromkeys(queues, 0), dict.fromkeys(queues, 0.0)
+    area, waited = dict.fromkeys(queues, 0.0), dict.fromkeys(queues, 0.0)
+    grant_time = {order: time for grants in granted.values() for order, time in grants.items()}
+    for time, kind, order, pool, queued, _ in out.log:
+        if kind == "arrival":
+            continue
+        queue = pool if pool.startswith("dispenser") else f"manual_{pool[-1]}"
+        area[queue] += length[queue] * (time - since[queue])
+        length[queue], since[queue] = queued, time
+        if kind == "enqueue":
+            waited[queue] += grant_time.get(order, config.horizon) - time
+    for queue in queues:
+        area[queue] += length[queue] * (config.horizon - since[queue])
+        assert area[queue] == pytest.approx(waited[queue], rel=REL_TOL)
