@@ -17,6 +17,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .analysis import (
     halfwidth_table,
     paired_comparisons,
@@ -35,7 +36,7 @@ from .optimizer import (
     OptimizationProblem,
     optimize as run_optimize,
 )
-from .reporting import make_manifest, write_csv, write_json
+from .reporting import write_csv, write_json
 
 
 def load_config(path: str) -> ModelConfig:
@@ -65,10 +66,20 @@ def handles_errors(func):
     return wrapper
 
 
-def out_dir(path: str) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+def write_reports(out: str, command: str, seed: int, params: dict, reports: dict) -> None:
+    """Write a command's reports into directory `out`, each embedding the one
+    manifest that lists them in the order of `reports`. A dict is a JSON
+    payload; a tuple is a CSV (header, rows[, footer]). JSON goes first, so a
+    value JSON refuses (NaN, infinity) stops before any file is written."""
+    manifest = {"command": command, "version": __version__, "seed": seed,
+                "parameters": params, "outputs": list(reports)}
+    directory = Path(out)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, report in sorted(reports.items(), key=lambda kv: isinstance(kv[1], tuple)):
+        if isinstance(report, dict):
+            write_json(directory / name, {"manifest": manifest, **report})
+        else:
+            write_csv(directory / name, *report[:2], manifest, *report[2:])
 
 
 def positive_finite(ctx, param, value):
@@ -133,39 +144,30 @@ def main():
 def simulate(config_path, seed, reps, confidence, event_log, out, threads):
     """Run replications of one config and summarize Total Usage Cost."""
     config = load_config(config_path)
-    outputs = ["simulate_summary.json", "simulate_replications.csv"]
-    if event_log:
-        outputs.append("simulate_events.csv")
-    manifest = make_manifest(
-        "simulate", seed,
-        {"config": config.to_dict(), "reps": reps, "confidence": confidence},
-        outputs,
-    )
     results = run_replications(config, seed, range(reps), threads=threads,
                                collect_log=event_log)
     stats = summarize([r.total_usage_cost for r in results], confidence)
 
-    directory = out_dir(out)
-    write_json(directory / "simulate_summary.json",
-               {"manifest": manifest, "summary": stats})
-    write_csv(
-        directory / "simulate_replications.csv",
-        ["replication", "total_usage_cost", "arrivals", "completions",
-         "in_system_at_end"],
-        [
-            (i, r.total_usage_cost, r.arrivals, r.completions, r.in_system_at_end)
-            for i, r in enumerate(results)
-        ],
-        manifest,
-    )
+    reports = {
+        "simulate_summary.json": {"summary": stats},
+        "simulate_replications.csv": (
+            ["replication", "total_usage_cost", "arrivals", "completions",
+             "in_system_at_end"],
+            [
+                (i, r.total_usage_cost, r.arrivals, r.completions, r.in_system_at_end)
+                for i, r in enumerate(results)
+            ],
+        ),
+    }
     if event_log:
-        write_csv(
-            directory / "simulate_events.csv",
+        reports["simulate_events.csv"] = (
             ["replication", "time", "event_kind", "entity_id", "pool",
              "queue_len", "busy_units"],
             [(i, *row) for i, r in enumerate(results) for row in r.log],
-            manifest,
         )
+    write_reports(out, "simulate", seed,
+                  {"config": config.to_dict(), "reps": reps, "confidence": confidence},
+                  reports)
     click.echo(f"mean {stats.mean:.2f}  half_width {stats.half_width:.2f}  n {stats.n}")
 
 
@@ -182,31 +184,27 @@ def table5(config_path, levels, seed, confidence, out, threads):
     """Half-width reduction over replication levels, default vs dedicated
     streams."""
     config = load_config(config_path)
-    manifest = make_manifest(
-        "table5", seed,
-        {"config": config.to_dict(), "levels": levels, "confidence": confidence},
-        ["table5.csv", "table5.json"],
-    )
     table = halfwidth_table(config, levels, confidence, seed, threads=threads)
 
-    directory = out_dir(out)
-    write_json(directory / "table5.json",
-               {"manifest": manifest, "table": table})
-    write_csv(
-        directory / "table5.csv",
-        ["replications", "halfwidth_default_stream", "halfwidth_crn", "difference"],
-        [
-            (r.replications, r.halfwidth_default_stream, r.halfwidth_crn, r.difference)
-            for r in table.rows
-        ],
-        manifest,
-        footer=[
-            ("first_minus_last_halfwidth_default_stream",
-             table.first_minus_last_halfwidth_default_stream),
-            ("first_minus_last_halfwidth_crn", table.first_minus_last_halfwidth_crn),
-            ("sum_of_level_differences", table.sum_of_level_differences),
-        ],
-    )
+    write_reports(out, "table5", seed, {
+        "config": config.to_dict(), "levels": levels, "confidence": confidence,
+    }, {
+        "table5.csv": (
+            ["replications", "halfwidth_default_stream", "halfwidth_crn", "difference"],
+            [
+                (r.replications, r.halfwidth_default_stream, r.halfwidth_crn,
+                 r.difference)
+                for r in table.rows
+            ],
+            [
+                ("first_minus_last_halfwidth_default_stream",
+                 table.first_minus_last_halfwidth_default_stream),
+                ("first_minus_last_halfwidth_crn", table.first_minus_last_halfwidth_crn),
+                ("sum_of_level_differences", table.sum_of_level_differences),
+            ],
+        ),
+        "table5.json": {"table": table},
+    })
     click.echo(f"wrote table5 reports for levels {levels}")
 
 
@@ -226,28 +224,23 @@ def compare(config_a, config_b, reps, crn, both, seed, confidence, out, threads)
     """Paired comparison of two configs differing only in resource counts."""
     cfg_a = load_config(config_a)
     cfg_b = load_config(config_b)
-    manifest = make_manifest(
-        "compare", seed,
-        {
-            "config_a": cfg_a.to_dict(),
-            "config_b": cfg_b.to_dict(),
-            "reps": reps,
-            "crn": crn,
-            "both": both,
-            "confidence": confidence,
-        },
-        ["compare.json"],
-    )
     modes = (crn, not crn) if both else (crn,)
     result, *other = paired_comparisons(cfg_a, cfg_b, reps, modes, seed, confidence,
                                         threads)
-    payload = {"manifest": manifest, "requested": result}
+    payload = {"requested": result}
     if other:
         var = {r.crn: r.var_diff for r in (result, *other)}
         payload["other_mode"] = other[0]
         payload["var_diff_ratio_crn_over_independent"] = (
             var[True] / var[False] if var[False] > 0 else None)
-    write_json(out_dir(out) / "compare.json", payload)
+    write_reports(out, "compare", seed, {
+        "config_a": cfg_a.to_dict(),
+        "config_b": cfg_b.to_dict(),
+        "reps": reps,
+        "crn": crn,
+        "both": both,
+        "confidence": confidence,
+    }, {"compare.json": payload})
     click.echo(
         f"mean_diff {result.mean_diff:.2f}  var_diff {result.var_diff:.2f}  "
         f"crn {result.crn}"
@@ -280,39 +273,33 @@ def optimize_cmd(config_path, budget, reps, crn, dispenser_max, operative_max,
         seed=seed,
         threads=threads,
     )
-    manifest = make_manifest(
-        "optimize", seed,
-        {
-            "config": config.to_dict(),
-            "budget": budget,
-            "reps_per_eval": reps,
-            "crn": crn,
-            "bounds": {"dispenser_max": dispenser_max, "operative_max": operative_max},
-            "validate_reps": validate_reps,
-        },
-        ["optimize_trace.csv", "optimize_summary.json"],
-    )
     with worker_pool(threads) as pool:
         trace = run_optimize(problem, pool)
-        summary = {"manifest": manifest, "result": trace.summary_dict(problem)}
+        summary = {"result": trace.summary_dict(problem)}
         if validate_reps is not None:
             validator = Evaluator(problem.for_validation(validate_reps), executor=pool)
             mean, hw = validator.evaluate(trace.best_point)
             summary["validation"] = {"reps": validate_reps, "mean": mean, "half_width": hw}
 
-    directory = out_dir(out)
     # an evaluation is a new best when it beats the incumbent before it
     rows = [(ev.index, *ev.point, ev.mean_cost, ev.half_width, inc, ev.mean_cost < before)
             for ev, inc, before in zip(trace.evaluations, trace.incumbent,
                                        (math.inf, *trace.incumbent))]
-    write_csv(
-        directory / "optimize_trace.csv",
-        ["eval_index", "dispensers", "operatives", "mean_cost", "half_width",
-         "incumbent_cost", "is_new_best"],
-        rows,
-        manifest,
-    )
-    write_json(directory / "optimize_summary.json", summary)
+    write_reports(out, "optimize", seed, {
+        "config": config.to_dict(),
+        "budget": budget,
+        "reps_per_eval": reps,
+        "crn": crn,
+        "bounds": {"dispenser_max": dispenser_max, "operative_max": operative_max},
+        "validate_reps": validate_reps,
+    }, {
+        "optimize_trace.csv": (
+            ["eval_index", "dispensers", "operatives", "mean_cost", "half_width",
+             "incumbent_cost", "is_new_best"],
+            rows,
+        ),
+        "optimize_summary.json": summary,
+    })
     click.echo(
         f"best {tuple(trace.best_point)} value {trace.best_value:.2f} "
         f"found at evaluation {trace.best_found_at}"
@@ -335,21 +322,15 @@ def precision(config_path, target, n0, n_max, confidence, seed, out, threads):
     if n_max < n0:
         raise click.BadParameter(f"must be >= --n0 ({n0})", param_hint="'--n-max'")
     config = load_config(config_path)
-    manifest = make_manifest(
-        "precision", seed,
-        {
-            "config": config.to_dict(),
-            "target": target,
-            "n0": n0,
-            "n_max": n_max,
-            "confidence": confidence,
-        },
-        ["precision.json"],
-    )
     result = replicate_to_precision(config, seed, confidence, target, n0, n_max,
                                     threads=threads)
-    write_json(out_dir(out) / "precision.json",
-               {"manifest": manifest, "result": result})
+    write_reports(out, "precision", seed, {
+        "config": config.to_dict(),
+        "target": target,
+        "n0": n0,
+        "n_max": n_max,
+        "confidence": confidence,
+    }, {"precision.json": {"result": result}})
     click.echo(
         f"achieved {result.achieved}  n_used {result.n_used}  "
         f"half_width {result.final.half_width:.2f}"

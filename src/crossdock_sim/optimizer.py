@@ -233,11 +233,10 @@ def brute_force_optimum(problem: OptimizationProblem) -> tuple[DecisionPoint, fl
     replication outputs held at once."""
     space = problem.bounds.all_points()
     row = problem.bounds.operative_max
-    values = []
     with worker_pool(problem.threads) as pool:
         evaluator = Evaluator(replace(problem, crn=True), executor=pool)
         for start in range(0, len(space), row):
-            values += [val for val, _ in evaluator.evaluate_batch(space[start:start + row])]
-    # space is in lexicographic (dispensers, operatives) order; min keeps the first
-    best = min(range(len(space)), key=values.__getitem__)
-    return space[best], values[best]
+            evaluator.evaluate_batch(space[start:start + row])
+    # evaluated in lexicographic (dispensers, operatives) order
+    trace = _trace_from(evaluator)
+    return trace.best_point, trace.best_value

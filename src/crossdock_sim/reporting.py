@@ -1,9 +1,9 @@
-"""Deterministic report files.
+"""Deterministic report writers.
 
-Every report embeds its run manifest (command, resolved configuration,
-seed, version, output paths) so a result can be re-run from the report
-alone. Writers are byte-stable: no timestamps, sorted JSON keys, and
-shortest round-trip decimal formatting for floats.
+Each report embeds the run manifest it is given (built by
+`cli.write_reports`), so a result can be re-run from the report alone.
+Writers are byte-stable: no timestamps, sorted JSON keys, and shortest
+round-trip decimal formatting for floats.
 """
 
 from __future__ import annotations
@@ -11,18 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-
-from . import __version__
-
-
-def make_manifest(command: str, seed: int, params: dict, outputs: list[str]) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "parameters": params,
-        "outputs": outputs,
-    }
 
 
 def format_cell(value) -> str:

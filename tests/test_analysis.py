@@ -98,14 +98,20 @@ class TestTQuantileAccuracy:
         assert all(map(math.isfinite, values))
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_median_call_under_50_us(self):
-        times = []
+    def test_median_call_under_four_reference_loops(self):
+        """Each call is timed next to a fixed pure-Python loop, so the bound
+        moves with the host's speed and load; a second tail evaluation per
+        Newton step takes the ratio near 5."""
+        calls, loops = [], []
         for df in range(1, 101):
             for p in (0.9, 0.95, 0.975, 0.995):
                 start = time.perf_counter()
                 t_quantile(df, p)
-                times.append(time.perf_counter() - start)
-        assert statistics.median(times) < 50e-6
+                middle = time.perf_counter()
+                sum(math.sqrt(i) for i in range(1, 200))
+                calls.append(middle - start)
+                loops.append(time.perf_counter() - middle)
+        assert statistics.median(calls) < 4.0 * statistics.median(loops)
 
 
 def test_start_up_imports_no_scipy():

@@ -463,3 +463,48 @@ def test_write_json_refuses_what_json_lacks(tmp_path, value):
     with pytest.raises(ValueError):
         write_json(tmp_path / "report.json", {"result": {"target": value}})
     assert not (tmp_path / "report.json").exists()
+
+
+# Options that keep each command to a few short replications.
+QUICK = {
+    "simulate": ["--reps", "2"],
+    "table5": ["--levels", "2,3"],
+    "compare": ["--reps", "2"],
+    "optimize": ["--budget", "2", "--reps", "2"],
+    "precision": ["--n0", "2", "--n-max", "3"],
+}
+
+
+@pytest.mark.parametrize("name, extra",
+                         [(name, []) for name in sorted(COMMANDS)]
+                         + [("simulate", ["--event-log"])],
+                         ids=[*sorted(COMMANDS), "simulate-event-log"])
+def test_reports_are_exactly_the_manifest_outputs(runner, config_file, tmp_path,
+                                                  name, extra):
+    out = tmp_path / "new" / "reports"
+    res = runner.invoke(main, command_args(name, config_file) + QUICK[name] + extra
+                        + ["--out", str(out)])
+    assert res.exit_code == 0, res.output
+    files = read_all(out)
+    manifests = []
+    for text in (data.decode() for data in files.values()):
+        if text.startswith("{"):
+            manifests.append(json.loads(text)["manifest"])
+        else:
+            first = text.split("\n", 1)[0]
+            assert first.startswith("# manifest ")
+            manifests.append(json.loads(first[len("# manifest "):]))
+    manifest = manifests[0]
+    assert manifest["command"] == name
+    assert sorted(manifest["outputs"]) == sorted(files)
+    assert all(m == manifest for m in manifests)
+
+
+def test_write_reports_refuses_nan_before_any_file(tmp_path):
+    out = tmp_path / "reports"
+    with pytest.raises(ValueError):
+        cli.write_reports(str(out), "simulate", 1, {}, {
+            "replications.csv": (["x"], [(1,)]),
+            "summary.json": {"summary": {"mean": math.nan}},
+        })
+    assert list(out.iterdir()) == []
