@@ -45,6 +45,5 @@ from .optimizer import (
 )
 from .rng import (
     RandomStream,
-    StreamKey,
     stream_create,
 )

@@ -1,9 +1,10 @@
 """Minimal terminating discrete-event kernel.
 
 Event calendar ordered by (time, insertion sequence); the model keeps one
-per pool, of its units' release times. Capacitated resource pools with
-FIFO queues and time-weighted busy statistics serve the event-driven
-engine kept as the tests' oracle. Instances are single-threaded.
+per pool, of its units' release times, and one of completions for its
+event log. Capacitated resource pools with time-weighted busy statistics
+serve the event-driven engine kept as the tests' oracle, which keeps its
+own queues. Instances are single-threaded.
 """
 
 from __future__ import annotations

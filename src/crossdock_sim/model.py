@@ -429,43 +429,39 @@ def _event_log(orders: list, horizon: float) -> tuple:
     `orders[i]` is order i + 1's `(arrival, queue, pool, start, end,
     freed_by)`: `queue` is "manual_<point>" or the dispenser pool, and
     `freed_by` the order whose completion handed over the unit, or None.
-    Rows come in event-loop order: by time, then by when the event was
-    scheduled (an arrival at the one before it, a completion at its start).
+    A unit freed at t serves an order arriving at t, so at one instant the
+    completions, in the order they were scheduled, come before the
+    arrival. At a hand-off the completion's row shows the unit freed and
+    the queue still waiting, the grant's row the queue after it.
     """
     handoff = {freed_by: i for i, (*_, freed_by) in enumerate(orders, 1) if freed_by}
     busy, queued, log = Counter(), Counter(), []
-    events = EventCalendar()
-    if orders:
-        events.schedule(orders[0][0], "arrival", 1)
-    while (event := events.next_event()) is not None and event[0] <= horizon:
-        t, kind, i = event
-        _, queue, pool, start, end, _ = orders[i - 1]
-        if kind == "arrival":
-            log.append((t, "arrival", i, "", 0, 0))
-            if i < len(orders):
-                events.schedule(orders[i][0], "arrival", i + 1)
-            if start == t:
-                busy[pool] += 1
-                log.append((t, "grant", i, pool, queued[queue], busy[pool]))
-                events.schedule(end, "complete", i)
-            else:
-                queued[queue] += 1
-                log.append((t, "enqueue", i, queue, queued[queue], busy[queue]))
-            continue
-        # a dispenser's row shows the queue after a hand-off, a manual
-        # pool's row the unit freed before it
-        successor = handoff.get(i)
-        if successor and queue == pool:
-            queued[queue] -= 1
-        else:
+    done = EventCalendar()
+
+    def complete_until(until):
+        while done.peek() <= until:
+            t, pool, i = done.next_event()
+            queue = orders[i - 1][1]
             busy[pool] -= 1
-        log.append((t, "complete", i, pool, queued[queue], busy[pool]))
-        if successor:
-            if queue != pool:
+            log.append((t, "complete", i, pool, queued[queue], busy[pool]))
+            successor = handoff.get(i)
+            if successor:
                 queued[queue] -= 1
                 busy[pool] += 1
-            log.append((t, "grant", successor, pool, queued[queue], busy[pool]))
-            events.schedule(orders[successor - 1][4], "complete", successor)
+                log.append((t, "grant", successor, pool, queued[queue], busy[pool]))
+                done.schedule(orders[successor - 1][4], pool, successor)
+
+    for i, (t, queue, pool, start, end, _) in enumerate(orders, 1):
+        complete_until(t)
+        log.append((t, "arrival", i, "", 0, 0))
+        if start == t:
+            busy[pool] += 1
+            log.append((t, "grant", i, pool, queued[queue], busy[pool]))
+            done.schedule(end, pool, i)
+        else:
+            queued[queue] += 1
+            log.append((t, "enqueue", i, queue, queued[queue], busy[queue]))
+    complete_until(horizon)
     return tuple(log)
 
 

@@ -11,7 +11,6 @@ synchronized when they share streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,34 +34,21 @@ _SOURCE_CODES = {name: i for i, name in enumerate(SOURCE_IDS + (SHARED_SOURCE,))
 _BUFFER = 4096
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """Identity of one random-number stream."""
-
-    master_seed: int
-    source_id: str
-    replication_index: int
-
-    def __post_init__(self):
-        if self.source_id not in _SOURCE_CODES:
-            raise ConfigurationError(f"unknown source_id: {self.source_id!r}")
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be >= 0")
-        if self.replication_index < 0:
-            raise ConfigurationError("replication_index must be >= 0")
-
-
 class RandomStream:
-    """Buffered uniform stream whose output is a pure function of its key."""
+    """Buffered uniform stream whose output is a pure function of its key,
+    (master_seed, source_id, replication_index)."""
 
-    __slots__ = ("key", "draws_taken", "_gen", "_buf", "_pos")
+    __slots__ = ("draws_taken", "_gen", "_buf", "_pos")
 
-    def __init__(self, key: StreamKey):
-        self.key = key
+    def __init__(self, master_seed: int, source_id: str, replication_index: int):
+        if source_id not in _SOURCE_CODES:
+            raise ConfigurationError(f"unknown source_id: {source_id!r}")
+        if master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
+        if replication_index < 0:
+            raise ConfigurationError("replication_index must be >= 0")
         self.draws_taken = 0
-        ss = np.random.SeedSequence(
-            [key.master_seed, _SOURCE_CODES[key.source_id], key.replication_index]
-        )
+        ss = np.random.SeedSequence([master_seed, _SOURCE_CODES[source_id], replication_index])
         self._gen = np.random.Generator(np.random.Philox(ss))
         self._buf: list[float] = []
         self._pos = 0
@@ -87,7 +73,7 @@ class RandomStream:
 
 
 def stream_create(master_seed: int, source_id: str, replication_index: int) -> RandomStream:
-    return RandomStream(StreamKey(master_seed, source_id, replication_index))
+    return RandomStream(master_seed, source_id, replication_index)
 
 
 def derive_master_seed(master_seed: int, *tags: int) -> int:

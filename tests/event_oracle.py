@@ -1,18 +1,24 @@
 """The event-driven replication engine, kept as a differential oracle.
 
-`run_oracle` is the crossdock model's former run loop: one event
-calendar over arrivals and completions, a `ResourcePool` per resource
-class and point, and a shared manual FIFO queue per point. The model now
-serves each order at arrival with a FIFO recursion per pool;
-`tests/test_engine_oracle.py` checks that both give the same counts,
-grants, logs and cost.
+`run_oracle` runs the crossdock model as an event loop: one event calendar
+of completions, the next arrival held beside it, and a `ResourcePool` per
+resource class and point. Each point has two queues, manual (skilled,
+then unskilled operatives) and dispenser, each with its pools in order of
+preference and a FIFO list of waiting orders. A unit freed at t serves an
+order arriving at t, so an arrival is handled only after every completion
+due by its time. The model serves each order at arrival with a FIFO
+recursion per pool instead; `tests/test_engine_oracle.py` checks that both
+give the same counts, grants, logs and cost.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from crossdock_sim.kernel import EventCalendar, ResourcePool
 from crossdock_sim.model import (
     POINTS,
+    RESOURCE_CLASSES,
     PoolStats,
     ReplicationOutput,
     build_model,
@@ -20,15 +26,11 @@ from crossdock_sim.model import (
 )
 from crossdock_sim.rng import (
     SHARED_SOURCE,
+    SOURCE_IDS,
     exponential_inverse,
     stream_create,
     triangular_inverse,
 )
-
-# event codes for the run loop
-_ARRIVAL = 0
-_MANUAL_DONE = 1
-_AUTO_DONE = 2
 
 
 def run_oracle(config, master_seed: int, replication_index: int, layout=None,
@@ -37,138 +39,73 @@ def run_oracle(config, master_seed: int, replication_index: int, layout=None,
     layout = build_model(config, layout)
     log = [] if collect_log else None
 
+    def record(*row):
+        if log is not None:
+            log.append(row)
+
     if config.crn_mode == "default_stream":
-        shared = stream_create(master_seed, SHARED_SOURCE, replication_index)
-        s_arrival = s_type = s_point = shared
-        s_manual = {"A": shared, "B": shared}
-        s_auto = {"A": shared, "B": shared}
+        streams = dict.fromkeys(SOURCE_IDS, stream_create(master_seed, SHARED_SOURCE,
+                                                          replication_index))
     else:
-        s_arrival = stream_create(master_seed, "arrival", replication_index)
-        s_type = stream_create(master_seed, "order_type", replication_index)
-        s_point = stream_create(master_seed, "point_choice", replication_index)
-        s_manual = {
-            p: stream_create(master_seed, f"manual_service_point_{p}", replication_index)
-            for p in POINTS
-        }
-        s_auto = {
-            p: stream_create(master_seed, f"auto_service_point_{p}", replication_index)
-            for p in POINTS
-        }
-
-    skilled = {p: ResourcePool(f"skilled_{p}", layout.capacity("skilled", p))
-               for p in POINTS}
-    unskilled = {p: ResourcePool(f"unskilled_{p}", layout.capacity("unskilled", p))
-                 for p in POINTS}
-    dispenser = {p: ResourcePool(f"dispenser_{p}", layout.capacity("dispenser", p))
-                 for p in POINTS}
-    manual_queue = {p: [] for p in POINTS}  # shared FIFO per point
-
-    horizon = config.horizon
-    arr_mean = config.arrival.mean
-    m_lo, m_mode, m_hi = (config.manual_service.min,
-                          config.manual_service.mode,
-                          config.manual_service.max)
-    a_lo, a_mode, a_hi = (config.auto_service.min,
-                          config.auto_service.mode,
-                          config.auto_service.max)
+        streams = {s: stream_create(master_seed, s, replication_index) for s in SOURCE_IDS}
+    s_arrival, s_type, s_point = (streams[s] for s in ("arrival", "order_type",
+                                                       "point_choice"))
+    pools = {f"{cls}_{p}": ResourcePool(f"{cls}_{p}", layout.capacity(cls, p))
+             for cls in RESOURCE_CLASSES for p in POINTS}
+    # (name, [(pool, service factor)] by preference, service triangle,
+    # service stream, waiting (order id, base service) pairs), by (auto, point)
     factor = config.unskilled_factor
-    p_auto = config.p_auto
-    p_point_A = config.p_point_A
+    queues = {}
+    for p in POINTS:
+        queues[False, p] = (f"manual_{p}",
+                            [(pools[f"skilled_{p}"], 1.0), (pools[f"unskilled_{p}"], factor)],
+                            config.manual_service, streams[f"manual_service_point_{p}"],
+                            deque())
+        queues[True, p] = (f"dispenser_{p}", [(pools[f"dispenser_{p}"], 1.0)],
+                           config.auto_service, streams[f"auto_service_point_{p}"], deque())
 
     cal = EventCalendar()
-    arrivals = 0
-    completions = 0
 
-    cal.schedule(exponential_inverse(s_arrival.uniform(), arr_mean), _ARRIVAL)
+    def grant(t, waiting, pool, scale, eid, base):
+        pool.seize(eid, t)
+        cal.schedule(t + base * scale, waiting, (pool, scale, eid))
+        record(t, "grant", eid, pool.name, len(waiting), pool.busy_units)
 
+    horizon = config.horizon
+    arrivals = completions = 0
+    t_next = exponential_inverse(s_arrival.uniform(), config.arrival.mean)
     while True:
-        ev = cal.next_event()
-        if ev is None:
-            break
-        t, action, payload = ev
-        if t > horizon:
-            break
-        if action == _ARRIVAL:
-            arrivals += 1
-            eid = arrivals
-            cal.schedule(t + exponential_inverse(s_arrival.uniform(), arr_mean),
-                         _ARRIVAL)
-            auto = s_type.uniform() < p_auto
-            point = "A" if s_point.uniform() < p_point_A else "B"
-            if log is not None:
-                log.append((t, "arrival", eid, "", 0, 0))
-            if auto:
-                svc = triangular_inverse(s_auto[point].uniform(), a_lo, a_mode, a_hi)
-                pool = dispenser[point]
-                if pool.seize((eid, svc), t):
-                    cal.schedule(t + svc, _AUTO_DONE, (point, eid))
-                    if log is not None:
-                        log.append((t, "grant", eid, pool.name,
-                                    len(pool.wait_queue), pool.busy_units))
-                elif log is not None:
-                    log.append((t, "enqueue", eid, pool.name,
-                                len(pool.wait_queue), pool.busy_units))
-            else:
-                base = triangular_inverse(s_manual[point].uniform(),
-                                          m_lo, m_mode, m_hi)
-                sk = skilled[point]
-                un = unskilled[point]
-                if sk.busy_units < sk.capacity:
-                    sk.seize(eid, t)
-                    cal.schedule(t + base, _MANUAL_DONE, (point, sk, eid))
-                    if log is not None:
-                        log.append((t, "grant", eid, sk.name,
-                                    len(manual_queue[point]), sk.busy_units))
-                elif un.busy_units < un.capacity:
-                    un.seize(eid, t)
-                    cal.schedule(t + base * factor, _MANUAL_DONE, (point, un, eid))
-                    if log is not None:
-                        log.append((t, "grant", eid, un.name,
-                                    len(manual_queue[point]), un.busy_units))
-                else:
-                    manual_queue[point].append((eid, base))
-                    if log is not None:
-                        log.append((t, "enqueue", eid, f"manual_{point}",
-                                    len(manual_queue[point]), 0))
-        elif action == _MANUAL_DONE:
-            point, pool, eid = payload
+        if cal.peek() <= min(t_next, horizon):
+            t, waiting, (pool, scale, eid) = cal.next_event()
             completions += 1
             pool.release(t)
-            if log is not None:
-                log.append((t, "complete", eid, pool.name,
-                            len(manual_queue[point]), pool.busy_units))
-            queue = manual_queue[point]
-            if queue:
-                # freed unit takes the queue head; duration depends on
-                # which class freed up
-                next_eid, base = queue.pop(0)
-                pool.seize(next_eid, t)
-                dur = base * factor if pool is unskilled[point] else base
-                cal.schedule(t + dur, _MANUAL_DONE, (point, pool, next_eid))
-                if log is not None:
-                    log.append((t, "grant", next_eid, pool.name,
-                                len(queue), pool.busy_units))
-        else:  # _AUTO_DONE
-            point, eid = payload
-            completions += 1
-            pool = dispenser[point]
-            granted = pool.release(t)
-            if log is not None:
-                log.append((t, "complete", eid, pool.name,
-                            len(pool.wait_queue), pool.busy_units))
-            if granted is not None:
-                next_eid, svc = granted
-                cal.schedule(t + svc, _AUTO_DONE, (point, next_eid))
-                if log is not None:
-                    log.append((t, "grant", next_eid, pool.name,
-                                len(pool.wait_queue), pool.busy_units))
+            record(t, "complete", eid, pool.name, len(waiting), pool.busy_units)
+            if waiting:  # the freed unit takes the head of its queue
+                grant(t, waiting, pool, scale, *waiting.popleft())
+        elif t_next <= horizon:
+            t = t_next
+            arrivals += 1
+            eid = arrivals
+            t_next = t + exponential_inverse(s_arrival.uniform(), config.arrival.mean)
+            auto = s_type.uniform() < config.p_auto
+            point = "A" if s_point.uniform() < config.p_point_A else "B"
+            name, preferred, tri, s_service, waiting = queues[auto, point]
+            base = triangular_inverse(s_service.uniform(), tri.min, tri.mode, tri.max)
+            record(t, "arrival", eid, "", 0, 0)
+            free = [(pool, scale) for pool, scale in preferred
+                    if pool.busy_units < pool.capacity]
+            if free:
+                grant(t, waiting, *free[0], eid, base)
+            else:
+                waiting.append((eid, base))
+                # a manual queue is no pool: its rows show 0 busy units
+                record(t, "enqueue", eid, name, len(waiting),
+                       pools[name].busy_units if name in pools else 0)
+        else:
+            break
 
-    pool_stats = {}
-    for pools in (skilled, unskilled, dispenser):
-        for pool in pools.values():
-            busy, idle, grants = pool.finalize_stats(horizon)
-            pool_stats[pool.name] = PoolStats(busy, idle, grants)
-
+    pool_stats = {name: PoolStats(*pool.finalize_stats(horizon))
+                  for name, pool in pools.items()}
     return ReplicationOutput(
         total_usage_cost=total_usage_cost(pool_stats, config.cost_rates),
         arrivals=arrivals,

@@ -302,13 +302,14 @@ class TestServiceTimes:
 
 
 class TestExactTies:
-    """Events at one instant, each run checked against the event loop.
-    Arrivals come every 1.0 min exactly, all at point A; the triangle
-    (0, 4, 4) turns a service uniform u into 4 sqrt(u) min, so 1/16, 1/4
-    and 9/16 give 1, 2 and 3 min. An order type uniform of 0.0 makes an
-    automated order, 0.9 a manual one. `units` are the skilled, unskilled
-    and dispenser counts at A; B has none. Unskilled operatives are as
-    fast as skilled ones unless `factor` says otherwise."""
+    """Events at one instant, each run checked against the event loop and
+    its log against each pool's capacity. Arrivals come every 1.0 min
+    exactly, all at point A; the triangle (0, 4, 4) turns a service
+    uniform u into 4 sqrt(u) min, so 1/16, 1/4 and 9/16 give 1, 2 and 3
+    min. An order type uniform of 0.0 makes an automated order, 0.9 a
+    manual one. `units` are the skilled, unskilled and dispenser counts at
+    A; B has none. Unskilled operatives are as fast as skilled ones unless
+    `factor` says otherwise."""
 
     @staticmethod
     def run(paper_config, monkeypatch, horizon, units, order_type, manual, auto,
@@ -331,6 +332,9 @@ class TestExactTies:
         assert_same_run(out, run_oracle(config, 0, 0, layout, collect_log=True))
         assert [row[0] for row in out.log if row[1] == "arrival"] == list(
             range(1, math.floor(horizon) + 1))
+        for _, kind, _, pool, queue_len, busy in out.log:
+            if kind in ("grant", "complete"):
+                assert 0 <= busy <= layout.capacity(*pool.rsplit("_", 1)) and queue_len >= 0
         return out
 
     @staticmethod
@@ -387,26 +391,29 @@ class TestExactTies:
         assert (alone.completions, helped.completions) == (4, 3)
 
     # Order i takes 1 min and arrives as order i - 1, which started at its
-    # own arrival, frees its unit. The engine hands the unit to order i; the
-    # event loop handles arrival i before that completion (ROADMAP item 17).
-    tie_rule = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "engine and event loop split a unit freed at an arrival differently"))
+    # own arrival, frees its unit. A unit freed at t serves an order
+    # arriving at t: the completion comes first, then the arrival is
+    # granted that unit at once.
 
-    @tie_rule
     def test_dispenser_freed_at_an_arrival_by_an_unqueued_order(self, paper_config,
                                                                 monkeypatch):
-        # counts, grants and cost agree; the event loop logs order i as
-        # enqueued and granted after the completion, the engine grants at once
-        self.run(paper_config, monkeypatch, 3.5, (1, 0, 1), [0.0], [1 / 16], [1 / 16])
+        # each order takes the one dispenser as it arrives, after the
+        # previous order's completion has freed it; no order waits
+        out = self.run(paper_config, monkeypatch, 3.5, (1, 0, 1), [0.0], [1 / 16], [1 / 16])
+        assert [row[1] for row in out.log if row[1] != "arrival"] == [
+            "grant", "complete", "grant", "complete", "grant"]
+        assert out.completions == 2
 
-    @tie_rule
     def test_skilled_unit_freed_at_an_arrival_by_an_unqueued_order(self, paper_config,
                                                                    monkeypatch):
-        # the engine gives order 2 the skilled operative (cost 2.716667, 3
-        # completions); the event loop, still seeing it busy, gives order 2
-        # the idle unskilled one for 3 min (cost 2.75, 2 completions)
-        self.run(paper_config, monkeypatch, 4.5, (1, 1, 1), [0.9], [1 / 16], [1 / 16],
-                 factor=3.0)
+        # each order takes the skilled operative its predecessor frees as it
+        # arrives, not the idle unskilled one (3 min): cost 2.716667 and 3
+        # completions
+        out = self.run(paper_config, monkeypatch, 4.5, (1, 1, 1), [0.9], [1 / 16], [1 / 16],
+                       factor=3.0)
+        assert set(self.granted(out).values()) == {"skilled_A"}
+        assert out.completions == 3
+        assert out.total_usage_cost == pytest.approx(2.716667, abs=1e-6)
 
 
 class TestCost:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from crossdock_sim import ConfigurationError, stream_create
 from crossdock_sim.rng import (
     SOURCE_IDS,
-    StreamKey,
     derive_master_seed,
     exponential_inverse,
     triangular_inverse,
@@ -67,13 +66,13 @@ class TestStreams:
 
     def test_key_validation(self):
         with pytest.raises(ConfigurationError):
-            StreamKey(1, "nonexistent", 0)
+            stream_create(1, "nonexistent", 0)
         with pytest.raises(ConfigurationError):
-            StreamKey(1, "arrival", -1)
+            stream_create(1, "arrival", -1)
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="master_seed"):
-            StreamKey(-1, "arrival", 0)
+            stream_create(-1, "arrival", 0)
 
     def test_all_sources_constructible(self):
         for src in SOURCE_IDS:
