@@ -2,9 +2,10 @@
 
 Event calendar ordered by (time, insertion sequence); the model keeps one
 per pool, of its units' release times, and one of completions for its
-event log. Capacitated resource pools with time-weighted busy statistics
-serve the event-driven engine kept as the tests' oracle, which keeps its
-own queues. Instances are single-threaded.
+event log. A one-unit dispenser pool's calendar only carries its release
+from one chunk of orders to the next. Capacitated resource pools with
+time-weighted busy statistics serve the event-driven engine kept as the
+tests' oracle, which keeps its own queues. Instances are single-threaded.
 """
 
 from __future__ import annotations

@@ -402,9 +402,27 @@ def _serve(queue: str, arrived, pools, factor: float, orders: list | None):
     Wolfowitz). `pools` is a point's (dispensers, None), or its (skilled,
     unskilled) operatives: an idle skilled one, else an idle unskilled one
     (slower by `factor`), else whichever frees first, skilled on a tie.
-    `orders[id - 1]` gets the order's record."""
+    `orders[id - 1]` gets the order's record.
+
+    A dispenser pool of one unit (or none: its one entry never frees) is
+    a single-server queue, served by Lindley's recursion on a local
+    release time and holder, taken from its calendar and put back once
+    per call."""
     first, second = pools
     starts, slow = [], []
+    if second is None and len(first) == 1:
+        release, name, holder = first.next_event()
+        for i, t, dur in arrived:
+            if release > t:
+                start = release
+            else:
+                start, holder = t, None
+            starts.append(start)
+            if orders is not None:
+                orders[i - 1] = (t, queue, name, start, start + dur, holder)
+            release, holder = start + dur, i
+        first.schedule(release, name, holder)
+        return starts, slow
     for i, t, dur in arrived:
         pool = first
         if second is not None:

@@ -3,6 +3,7 @@ and end with a strict JSON result that names every metric they report, and
 the baseline script's layers run."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,14 @@ def test_baseline_layers_run(monkeypatch):
     for mode in ("dedicated_streams", "default_stream"):
         assert micro.replication_ms(config.with_crn_mode(mode)) > 0
     assert micro.optimize_s(config, threads=1) > 0
+
+
+def test_calendar_depth_probe_runs(monkeypatch):
+    """The traced run's `kernel.*` metrics need the engine to take events
+    from `model.EventCalendar` in a paper replication: `calendar_depth`
+    averages the calendar sizes its `next_event` calls see."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import micro
+
+    depth = micro.calendar_depth(micro.paper_config())
+    assert math.isfinite(depth) and depth >= 1

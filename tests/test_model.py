@@ -390,6 +390,20 @@ class TestExactTies:
         assert self.granted(helped)[2] == "unskilled_A"
         assert (alone.completions, helped.completions) == (4, 3)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the engine and the event loop split on a skilled and an "
+                              "unskilled operative freed at one instant")
+    def test_waiting_order_at_skilled_and_unskilled_freed_together(self, paper_config,
+                                                                   monkeypatch):
+        # services of 2, 1, 2 and 1 min, unskilled ones 3 times as long:
+        # order 1 holds the skilled operative from 1 to 3, order 2 the
+        # unskilled one from 2 to 5, and order 3 the skilled one from 3 to
+        # 5. Order 4 waits for both, freed at 5; the engine gives it the
+        # skilled one (skilled first on a tie), the event loop the unskilled
+        # one, whose completion was scheduled first.
+        self.run(paper_config, monkeypatch, 5.5, (1, 1, 1), [0.9],
+                 [1 / 4, 1 / 16, 1 / 4, 1 / 16], [0.5], factor=3.0)
+
     # Order i takes 1 min and arrives as order i - 1, which started at its
     # own arrival, frees its unit. A unit freed at t serves an order
     # arriving at t: the completion comes first, then the arrival is
