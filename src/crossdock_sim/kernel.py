@@ -5,14 +5,14 @@ per pool, of its units' release times, and one of completions for its
 event log. A one-unit dispenser pool's calendar only carries its release
 from one chunk of orders to the next. Capacitated resource pools with
 time-weighted busy statistics serve the event-driven engine kept as the
-tests' oracle, which keeps its own queues. Instances are single-threaded.
+tests' oracle, which keeps its own queues and seizes only free units.
+Instances are single-threaded.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 
 from .errors import SimulationLogicError
 
@@ -57,15 +57,12 @@ class EventCalendar:
 
 
 class ResourcePool:
-    """Capacitated resource with a FIFO wait queue, a grant tally and a
-    time-weighted integral of busy units.
+    """Capacitated resource with a grant tally and a time-weighted
+    integral of busy units; a seize with no free unit is an error, as is
+    a release with none busy. Capacity 0 is allowed: a picking point with
+    none of that resource, whose pool is never seized."""
 
-    Capacity 0 is allowed: every seize enqueues and nothing is ever
-    granted, modeling a picking point with none of that resource.
-    """
-
-    __slots__ = ("name", "capacity", "busy_units", "wait_queue", "grants", "integral",
-                 "last_change")
+    __slots__ = ("name", "capacity", "busy_units", "grants", "integral", "last_change")
 
     def __init__(self, name: str, capacity: int):
         if capacity < 0:
@@ -73,36 +70,26 @@ class ResourcePool:
         self.name = name
         self.capacity = capacity
         self.busy_units = 0
-        self.wait_queue: deque = deque()
         self.grants, self.integral, self.last_change = 0, 0.0, 0.0
 
     def _advance(self, clock: float) -> None:
         self.integral += self.busy_units * (clock - self.last_change)
         self.last_change = clock
 
-    def seize(self, entity, clock: float) -> bool:
-        """Grant a unit now if one is free, else enqueue. Returns True on
-        grant."""
-        if self.busy_units < self.capacity:
-            self._advance(clock)
-            self.busy_units += 1
-            self.grants += 1
-            return True
-        self.wait_queue.append(entity)
-        return False
+    def seize(self, entity, clock: float) -> None:
+        """Grant `entity` a free unit."""
+        if self.busy_units >= self.capacity:
+            raise SimulationLogicError(f"pool {self.name}: {entity!r} seized with no free unit")
+        self._advance(clock)
+        self.busy_units += 1
+        self.grants += 1
 
-    def release(self, clock: float):
-        """Free one unit. If someone is waiting, the queue head is granted
-        immediately (busy count unchanged net) and returned; otherwise
-        returns None."""
+    def release(self, clock: float) -> None:
+        """Free one unit."""
         if self.busy_units < 1:
             raise SimulationLogicError(f"pool {self.name}: release with no busy units")
-        if self.wait_queue:
-            self.grants += 1
-            return self.wait_queue.popleft()
         self._advance(clock)
         self.busy_units -= 1
-        return None
 
     def finalize_stats(self, horizon: float) -> tuple[float, float, int]:
         """Close the busy integral at the horizon.

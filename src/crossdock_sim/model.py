@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -318,8 +318,8 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
         [stream_create(master_seed, SHARED_SOURCE, replication_index)] * 7 if shared
         else [stream_create(master_seed, s, replication_index) for s in SOURCE_IDS])
 
-    # one 0.0 entry per unit, its payload the id of the order that last
-    # held the unit; a pool with no units holds one that never frees
+    # one release time per unit, 0.0 at the start; a pool with no units
+    # holds one that never frees
     capacity = {f"{cls}_{pt}": layout.capacity(cls, pt)
                 for cls in RESOURCE_CLASSES for pt in POINTS}
     units = {name: EventCalendar() for name in capacity}
@@ -402,26 +402,22 @@ def _serve(queue: str, arrived, pools, factor: float, orders: list | None):
     Wolfowitz). `pools` is a point's (dispensers, None), or its (skilled,
     unskilled) operatives: an idle skilled one, else an idle unskilled one
     (slower by `factor`), else whichever frees first, skilled on a tie.
-    `orders[id - 1]` gets the order's record.
+    `orders[id - 1]` gets the order's `(arrival, queue, pool, start, end)`.
 
     A dispenser pool of one unit (or none: its one entry never frees) is
     a single-server queue, served by Lindley's recursion on a local
-    release time and holder, taken from its calendar and put back once
-    per call."""
+    release time, taken from its calendar and put back once per call."""
     first, second = pools
     starts, slow = [], []
     if second is None and len(first) == 1:
-        release, name, holder = first.next_event()
+        release, name, _ = first.next_event()
         for i, t, dur in arrived:
-            if release > t:
-                start = release
-            else:
-                start, holder = t, None
+            start = release if release > t else t
             starts.append(start)
+            release = start + dur
             if orders is not None:
-                orders[i - 1] = (t, queue, name, start, start + dur, holder)
-            release, holder = start + dur, i
-        first.schedule(release, name, holder)
+                orders[i - 1] = (t, queue, name, start, release)
+        first.schedule(release, name)
         return starts, slow
     for i, t, dur in arrived:
         pool = first
@@ -431,12 +427,12 @@ def _serve(queue: str, arrived, pools, factor: float, orders: list | None):
                 pool = second
                 dur *= factor
                 slow.append(len(starts))
-        release, name, holder = pool.next_event()
+        release, name, _ = pool.next_event()
         start = release if release > t else t
-        pool.schedule(start + dur, name, i)
+        pool.schedule(start + dur, name)
         starts.append(start)
         if orders is not None:
-            orders[i - 1] = (t, queue, name, start, start + dur, holder if release > t else None)
+            orders[i - 1] = (t, queue, name, start, start + dur)
     return starts, slow
 
 
@@ -444,16 +440,17 @@ def _event_log(orders: list, horizon: float) -> tuple:
     """Rows `(time, kind, order id, pool, queue length, busy units)` of the
     arrivals, enqueues, grants and completions up to the horizon.
 
-    `orders[i]` is order i + 1's `(arrival, queue, pool, start, end,
-    freed_by)`: `queue` is "manual_<point>" or the dispenser pool, and
-    `freed_by` the order whose completion handed over the unit, or None.
-    A unit freed at t serves an order arriving at t, so at one instant the
-    completions, in the order they were scheduled, come before the
-    arrival. At a hand-off the completion's row shows the unit freed and
-    the queue still waiting, the grant's row the queue after it.
+    `orders[i]` is order i + 1's `(arrival, queue, pool, start, end)`:
+    `queue` is "manual_<point>" or the dispenser pool. A unit freed at t
+    serves an order arriving at t, so at one instant the completions, in
+    the order they were scheduled, come before the arrival. A completion
+    hands its unit to the first order waiting for that pool, which in a
+    FIFO pool starts then. At a hand-off the completion's row shows the
+    unit freed and the queue still waiting, the grant's row the queue
+    after it.
     """
-    handoff = {freed_by: i for i, (*_, freed_by) in enumerate(orders, 1) if freed_by}
     busy, queued, log = Counter(), Counter(), []
+    waiting = defaultdict(deque)  # pool -> ids of the orders waiting for it
     done = EventCalendar()
 
     def complete_until(until):
@@ -462,14 +459,14 @@ def _event_log(orders: list, horizon: float) -> tuple:
             queue = orders[i - 1][1]
             busy[pool] -= 1
             log.append((t, "complete", i, pool, queued[queue], busy[pool]))
-            successor = handoff.get(i)
-            if successor:
+            if waiting[pool]:
+                successor = waiting[pool].popleft()
                 queued[queue] -= 1
                 busy[pool] += 1
                 log.append((t, "grant", successor, pool, queued[queue], busy[pool]))
                 done.schedule(orders[successor - 1][4], pool, successor)
 
-    for i, (t, queue, pool, start, end, _) in enumerate(orders, 1):
+    for i, (t, queue, pool, start, end) in enumerate(orders, 1):
         complete_until(t)
         log.append((t, "arrival", i, "", 0, 0))
         if start == t:
@@ -477,6 +474,7 @@ def _event_log(orders: list, horizon: float) -> tuple:
             log.append((t, "grant", i, pool, queued[queue], busy[pool]))
             done.schedule(end, pool, i)
         else:
+            waiting[pool].append(i)
             queued[queue] += 1
             log.append((t, "enqueue", i, queue, queued[queue], busy[queue]))
     complete_until(horizon)

@@ -67,29 +67,22 @@ class TestEventCalendar:
 class TestResourcePool:
     def test_grant_when_idle(self):
         pool = ResourcePool("p", 1)
-        assert pool.seize("e1", 0.0) is True
-        assert pool.busy_units == 1
-
-    def test_enqueue_when_busy_then_fifo_grant(self):
-        pool = ResourcePool("p", 1)
         pool.seize("e1", 0.0)
-        assert pool.seize("e2", 1.0) is False
-        assert pool.seize("e3", 2.0) is False
-        assert pool.release(3.0) == "e2"
-        assert pool.busy_units == 1
-        assert pool.release(4.0) == "e3"
+        assert (pool.busy_units, pool.grants) == (1, 1)
 
     def test_capacity_bound(self):
         pool = ResourcePool("p", 2)
-        grants = [pool.seize(i, 0.0) for i in range(3)]
-        assert grants == [True, True, False]
-        assert pool.busy_units == 2
+        pool.seize(0, 0.0)
+        pool.seize(1, 0.0)
+        with pytest.raises(SimulationLogicError, match="'e2'"):
+            pool.seize("e2", 0.0)
+        assert (pool.busy_units, pool.grants) == (2, 2)
 
     def test_release_to_idle(self):
         pool = ResourcePool("p", 1)
         pool.seize("e", 0.0)
-        assert pool.release(5.0) is None
-        assert pool.busy_units == 0
+        pool.release(5.0)
+        assert (pool.busy_units, pool.grants) == (0, 1)
 
     def test_release_on_idle_pool_is_error(self):
         with pytest.raises(SimulationLogicError):
@@ -111,9 +104,10 @@ class TestResourcePool:
         assert idle == pytest.approx(70.0)
         assert grants == 2
 
-    def test_zero_capacity_always_enqueues(self):
+    def test_zero_capacity_seize_is_error(self):
         pool = ResourcePool("p", 0)
-        assert pool.seize("e", 0.0) is False
+        with pytest.raises(SimulationLogicError, match="'e'"):
+            pool.seize("e", 0.0)
         busy, idle, grants = pool.finalize_stats(10.0)
         assert (busy, idle, grants) == (0.0, 0.0, 0)
 

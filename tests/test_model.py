@@ -313,7 +313,7 @@ class TestExactTies:
 
     @staticmethod
     def run(paper_config, monkeypatch, horizon, units, order_type, manual, auto,
-            factor=1.0):
+            factor=1.0, oracle=True):
         triangle = {"kind": "triangular", "min": 0.0, "mode": 4.0, "max": 4.0}
         config = ModelConfig.from_dict({
             **paper_config.to_dict(),
@@ -329,7 +329,8 @@ class TestExactTies:
         skilled, unskilled, dispensers = units
         layout = ResourceLayout(skilled, 0, unskilled, 0, dispensers, 0)
         out = run_replication(config, 0, 0, layout, collect_log=True)
-        assert_same_run(out, run_oracle(config, 0, 0, layout, collect_log=True))
+        if oracle:
+            assert_same_run(out, run_oracle(config, 0, 0, layout, collect_log=True))
         assert [row[0] for row in out.log if row[1] == "arrival"] == list(
             range(1, math.floor(horizon) + 1))
         for _, kind, _, pool, queue_len, busy in out.log:
@@ -403,6 +404,28 @@ class TestExactTies:
         # one, whose completion was scheduled first.
         self.run(paper_config, monkeypatch, 5.5, (1, 1, 1), [0.9],
                  [1 / 4, 1 / 16, 1 / 4, 1 / 16], [0.5], factor=3.0)
+
+    def test_log_follows_the_engine_where_the_event_loop_splits(self, paper_config,
+                                                               monkeypatch):
+        # the case above without the event loop: the log grants order 4 the
+        # skilled operative, as the engine does, though the unskilled one's
+        # completion comes first
+        out = self.run(paper_config, monkeypatch, 5.5, (1, 1, 1), [0.9],
+                       [1 / 4, 1 / 16, 1 / 4, 1 / 16], [0.5], factor=3.0, oracle=False)
+        assert self.granted(out) == {1: "skilled_A", 2: "unskilled_A", 3: "skilled_A",
+                                     4: "skilled_A", 5: "unskilled_A"}
+
+    def test_two_handoffs_at_one_pool_at_one_instant(self, paper_config, monkeypatch):
+        # every order manual, with services of 4/3 and 1 min, 3 times as
+        # long unskilled: orders 1 and 2 hold the two unskilled operatives
+        # from 1 to 5 and from 2 to 5, orders 3 and 4 wait for them, and
+        # order 5 arrives as both are freed
+        out = self.run(paper_config, monkeypatch, 5.5, (0, 2, 1), [0.9], [1 / 9, 1 / 16],
+                       [0.5], factor=3.0)
+        assert [row[1:4] for row in out.log if row[0] == 5.0] == [
+            ("complete", 1, "unskilled_A"), ("grant", 3, "unskilled_A"),
+            ("complete", 2, "unskilled_A"), ("grant", 4, "unskilled_A"),
+            ("arrival", 5, ""), ("enqueue", 5, "manual_A")]
 
     # Order i takes 1 min and arrives as order i - 1, which started at its
     # own arrival, frees its unit. A unit freed at t serves an order
