@@ -2,11 +2,11 @@
 
 Event calendar ordered by (time, insertion sequence); the model keeps one
 per pool, of its units' release times, and one of completions for its
-event log. A one-unit dispenser pool's calendar only carries its release
-from one chunk of orders to the next. Capacitated resource pools with
-time-weighted busy statistics serve the event-driven engine kept as the
-tests' oracle, which keeps its own queues and seizes only free units.
-Instances are single-threaded.
+event log. A pool's calendar only carries its releases from one chunk of
+orders to the next; within a chunk the model serves them from a local
+heap. Capacitated resource pools with time-weighted busy statistics serve
+the event-driven engine kept as the tests' oracle, which keeps its own
+queues and seizes only free units. Instances are single-threaded.
 """
 
 from __future__ import annotations

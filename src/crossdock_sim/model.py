@@ -17,6 +17,7 @@ arrival so per-stream draw sequences do not depend on resource counts.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import math
 import os
 from collections import Counter, defaultdict, deque
@@ -362,7 +363,7 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
             u = service_u[ids] if shared else s_service[q].uniforms(len(ids))
             dur = triangular_inverse(u, tri.min, tri.mode, tri.max)
             arrived = zip((ids + arrivals + 1).tolist(), times[ids].tolist(), dur.tolist())
-            start, slow = _serve(queue, arrived, (units[first], units.get(second)),
+            start, slow = _serve(queue, arrived, units, (first, second),
                                  config.unskilled_factor, orders)
             start = np.fromiter(start, float, len(start))  # never falls: granted orders first
             granted = int(np.searchsorted(start, horizon, "right"))
@@ -393,46 +394,56 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
     )
 
 
-def _serve(queue: str, arrived, pools, factor: float, orders: list | None):
+def _serve(queue: str, arrived, units: dict, names, factor: float, orders: list | None):
     """Serve one queue's `(id, arrival, duration)` orders in arrival order;
     returns their starts and the positions of the orders the second pool served.
 
     An order takes the unit that frees first, from max(arrival, release) to
     the end of its service (the c-server FIFO recursion of Kiefer and
-    Wolfowitz). `pools` is a point's (dispensers, None), or its (skilled,
+    Wolfowitz). `names` is a point's (dispensers, None), or its (skilled,
     unskilled) operatives: an idle skilled one, else an idle unskilled one
     (slower by `factor`), else whichever frees first, skilled on a tie.
     `orders[id - 1]` gets the order's `(arrival, queue, pool, start, end)`.
 
-    A dispenser pool of one unit (or none: its one entry never frees) is
-    a single-server queue, served by Lindley's recursion on a local
-    release time, taken from its calendar and put back once per call."""
-    first, second = pools
+    `units[name]` is a pool's calendar of release times. Each call drains it
+    into a local list, which is a heap since the calendar pops in order,
+    serves every order from the lists, and puts the releases into a fresh
+    calendar: the drain moved the old one's clock to its last release. A
+    dispenser pool of one unit (or none: its one entry never frees) is a
+    single-server queue, served by Lindley's recursion on one release time."""
+    first, second = names
     starts, slow = [], []
-    if second is None and len(first) == 1:
-        release, name, _ = first.next_event()
+    cal = units[first]
+    if second is None and len(cal) == 1:
+        release = cal.next_event()[0]
         for i, t, dur in arrived:
             start = release if release > t else t
             starts.append(start)
             release = start + dur
             if orders is not None:
-                orders[i - 1] = (t, queue, name, start, release)
-        first.schedule(release, name)
+                orders[i - 1] = (t, queue, first, start, release)
+        cal.schedule(release, first)
         return starts, slow
+    # no second pool is one whose unit never frees
+    h1, h2 = ([units[name].next_event()[0] for _ in range(len(units[name]))] if name
+              else [math.inf] for name in names)
     for i, t, dur in arrived:
-        pool = first
-        if second is not None:
-            first_free = first.peek()
-            if first_free > t and second.peek() < first_free:
-                pool = second
-                dur *= factor
-                slow.append(len(starts))
-        release, name, _ = pool.next_event()
+        heap, name = h1, first
+        if h1[0] > t and h2[0] < h1[0]:
+            heap, name = h2, second
+            dur *= factor
+            slow.append(len(starts))
+        release = heap[0]
         start = release if release > t else t
-        pool.schedule(start + dur, name)
+        heapq.heapreplace(heap, start + dur)
         starts.append(start)
         if orders is not None:
             orders[i - 1] = (t, queue, name, start, start + dur)
+    for name, heap in zip(names, (h1, h2)):
+        if name:
+            units[name] = cal = EventCalendar()
+            for release in heap:
+                cal.schedule(release, name)
     return starts, slow
 
 

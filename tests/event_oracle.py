@@ -6,14 +6,17 @@ resource class and point. Each point has two queues, manual (skilled,
 then unskilled operatives) and dispenser, each with its pools in order of
 preference and a FIFO list of waiting orders. A unit freed at t serves an
 order arriving at t, so an arrival is handled only after every completion
-due by its time. The model serves each order at arrival with a FIFO
-recursion per pool instead; `tests/test_engine_oracle.py` checks that both
-give the same counts, grants, logs and cost.
+due by its time. The completions due at one instant all free their units
+before any is handed on; then the orders waiting at the head of each queue
+take the freed units, by the queue's preference. The model serves each
+order at arrival with a FIFO recursion per pool instead;
+`tests/test_engine_oracle.py` checks that both give the same counts,
+grants, logs and cost.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, defaultdict, deque
 
 from crossdock_sim.kernel import EventCalendar, ResourcePool
 from crossdock_sim.model import (
@@ -66,22 +69,42 @@ def run_oracle(config, master_seed: int, replication_index: int, layout=None,
 
     cal = EventCalendar()
 
-    def grant(t, waiting, pool, scale, eid, base):
+    def grant(t, key, pool, scale, eid, base):
         pool.seize(eid, t)
-        cal.schedule(t + base * scale, waiting, (pool, scale, eid))
-        record(t, "grant", eid, pool.name, len(waiting), pool.busy_units)
+        cal.schedule(t + base * scale, key, (pool, scale, eid))
+        record(t, "grant", eid, pool.name, len(queues[key][4]), pool.busy_units)
 
     horizon = config.horizon
     arrivals = completions = 0
     t_next = exponential_inverse(s_arrival.uniform(), config.arrival.mean)
     while True:
         if cal.peek() <= min(t_next, horizon):
-            t, waiting, (pool, scale, eid) = cal.next_event()
-            completions += 1
-            pool.release(t)
-            record(t, "complete", eid, pool.name, len(waiting), pool.busy_units)
-            if waiting:  # the freed unit takes the head of its queue
-                grant(t, waiting, pool, scale, *waiting.popleft())
+            t = cal.peek()
+            due = []
+            while cal.peek() == t:
+                due.append(cal.next_event()[1:])
+            # the heads of the queues take the freed units by preference;
+            # waiting orders mean that every unit of their pools was busy
+            freed = Counter(pool for _, (pool, _, _) in due)
+            heirs = defaultdict(deque)  # pool -> the waiting orders it serves now
+            for key in dict.fromkeys(key for key, _ in due):
+                _, preferred, _, _, waiting = queues[key]
+                for entry in waiting:
+                    pool = next((pool for pool, _ in preferred if freed[pool]), None)
+                    if pool is None:
+                        break
+                    freed[pool] -= 1
+                    heirs[pool].append(entry)
+            # each completion's row is followed by the grant its unit makes
+            for key, (pool, scale, eid) in due:
+                waiting = queues[key][4]
+                completions += 1
+                pool.release(t)
+                record(t, "complete", eid, pool.name, len(waiting), pool.busy_units)
+                if heirs[pool]:
+                    entry = heirs[pool].popleft()
+                    waiting.remove(entry)
+                    grant(t, key, pool, scale, *entry)
         elif t_next <= horizon:
             t = t_next
             arrivals += 1
@@ -95,7 +118,7 @@ def run_oracle(config, master_seed: int, replication_index: int, layout=None,
             free = [(pool, scale) for pool, scale in preferred
                     if pool.busy_units < pool.capacity]
             if free:
-                grant(t, waiting, *free[0], eid, base)
+                grant(t, (auto, point), *free[0], eid, base)
             else:
                 waiting.append((eid, base))
                 # a manual queue is no pool: its rows show 0 busy units

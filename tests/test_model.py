@@ -391,23 +391,23 @@ class TestExactTies:
         assert self.granted(helped)[2] == "unskilled_A"
         assert (alone.completions, helped.completions) == (4, 3)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the engine and the event loop split on a skilled and an "
-                              "unskilled operative freed at one instant")
     def test_waiting_order_at_skilled_and_unskilled_freed_together(self, paper_config,
                                                                    monkeypatch):
         # services of 2, 1, 2 and 1 min, unskilled ones 3 times as long:
         # order 1 holds the skilled operative from 1 to 3, order 2 the
         # unskilled one from 2 to 5, and order 3 the skilled one from 3 to
-        # 5. Order 4 waits for both, freed at 5; the engine gives it the
-        # skilled one (skilled first on a tie), the event loop the unskilled
-        # one, whose completion was scheduled first.
-        self.run(paper_config, monkeypatch, 5.5, (1, 1, 1), [0.9],
-                 [1 / 4, 1 / 16, 1 / 4, 1 / 16], [0.5], factor=3.0)
+        # 5. Order 4 waits for both, freed at 5, and takes the skilled one
+        # (skilled first on a tie), though the unskilled one's completion
+        # was scheduled first; order 5 arrives then and takes the other
+        out = self.run(paper_config, monkeypatch, 5.5, (1, 1, 1), [0.9],
+                       [1 / 4, 1 / 16, 1 / 4, 1 / 16], [0.5], factor=3.0)
+        assert [row[1:4] for row in out.log if row[0] == 5.0] == [
+            ("complete", 2, "unskilled_A"), ("complete", 3, "skilled_A"),
+            ("grant", 4, "skilled_A"), ("arrival", 5, ""), ("grant", 5, "unskilled_A")]
 
     def test_log_follows_the_engine_where_the_event_loop_splits(self, paper_config,
                                                                monkeypatch):
-        # the case above without the event loop: the log grants order 4 the
+        # the case above, the engine alone: the log grants order 4 the
         # skilled operative, as the engine does, though the unskilled one's
         # completion comes first
         out = self.run(paper_config, monkeypatch, 5.5, (1, 1, 1), [0.9],
