@@ -346,7 +346,7 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
         else:
             gap_u = s_arrival.uniforms(k)
         # math.log1p one by one: np.log1p's doubles can differ from it
-        gaps = np.fromiter(map(math.log1p, (-gap_u).tolist()), float, k) * -mean
+        gaps = np.fromiter(map(math.log1p, memoryview(-gap_u)), float, k) * -mean
         times = np.cumsum(np.concatenate(([t], gaps)))  # a sequential sum
         n = int(np.searchsorted(times[:k], horizon, "right"))  # arrived by the horizon
         # only the last chunk has orders past the horizon, and nothing draws
@@ -356,20 +356,22 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
         if not shared:
             type_u, point_u = s_type.uniforms(n), s_point.uniforms(n)
         queue_of = 2 * (type_u[:n] < config.p_auto) + (point_u[:n] >= config.p_point_A)
-        if orders is not None:
-            orders.extend([None] * n)
+        if orders is not None:  # each order's start, end, and pool as a column of names
+            names = np.array([(name, first, second) for name, _, first, second in queues], object)
+            start_of, end_of, pool_of = np.empty(n), np.empty(n), np.ones(n, np.intp)
         for q, (queue, tri, first, second) in enumerate(queues):
             ids = np.flatnonzero(queue_of == q)
             u = service_u[ids] if shared else s_service[q].uniforms(len(ids))
             dur = triangular_inverse(u, tri.min, tri.mode, tri.max)
-            arrived = zip((ids + arrivals + 1).tolist(), times[ids].tolist(), dur.tolist())
-            start, slow = _serve(queue, arrived, units, (first, second),
-                                 config.unskilled_factor, orders)
+            start, slow = _serve(queue, zip(memoryview(times[ids]), memoryview(dur)), units,
+                                 (first, second), config.unskilled_factor)
             start = np.fromiter(start, float, len(start))  # never falls: granted orders first
             granted = int(np.searchsorted(start, horizon, "right"))
             slow = np.array(slow, np.intp)
-            slow = slow[:np.searchsorted(slow, granted)]
             dur[slow] *= config.unskilled_factor
+            if orders is not None:
+                start_of[ids], end_of[ids], pool_of[ids[slow]] = start, start + dur, 2
+            slow = slow[:np.searchsorted(slow, granted)]
             took = start[:granted] + dur[:granted]
             completions += int(np.count_nonzero(took <= horizon))
             took = np.minimum(took, horizon, out=took) - start[:granted]
@@ -379,10 +381,12 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
                 if len(part):  # summed in order, carrying on from the last chunk
                     part[0] += busy[name]
                     busy[name] = float(np.cumsum(part, out=part)[-1])
+        if orders is not None:  # each order's (arrival, queue, pool, start, end)
+            orders += zip(times[:n].tolist(), names[queue_of, 0].tolist(),
+                          names[queue_of, pool_of].tolist(), start_of.tolist(), end_of.tolist())
         arrivals += n
 
-    pool_stats = {name: PoolStats(busy[name], capacity[name] * horizon - busy[name],
-                                  grants[name])
+    pool_stats = {name: PoolStats(busy[name], capacity[name] * horizon - busy[name], grants[name])
                   for name in units}
     return ReplicationOutput(
         total_usage_cost=total_usage_cost(pool_stats, config.cost_rates),
@@ -394,8 +398,8 @@ def run_replication(config: ModelConfig, master_seed: int, replication_index: in
     )
 
 
-def _serve(queue: str, arrived, units: dict, names, factor: float, orders: list | None):
-    """Serve one queue's `(id, arrival, duration)` orders in arrival order;
+def _serve(queue: str, arrived, units: dict, names, factor: float):
+    """Serve one queue's `(arrival, duration)` orders in arrival order;
     returns their starts and the positions of the orders the second pool served.
 
     An order takes the unit that frees first, from max(arrival, release) to
@@ -403,7 +407,7 @@ def _serve(queue: str, arrived, units: dict, names, factor: float, orders: list 
     Wolfowitz). `names` is a point's (dispensers, None), or its (skilled,
     unskilled) operatives: an idle skilled one, else an idle unskilled one
     (slower by `factor`), else whichever frees first, skilled on a tie.
-    `orders[id - 1]` gets the order's `(arrival, queue, pool, start, end)`.
+    `queue` is not read here: it names the queue to code that wraps `_serve`.
 
     `units[name]` is a pool's calendar of release times. Each call drains it
     into a local list, which is a heap since the calendar pops in order,
@@ -416,29 +420,25 @@ def _serve(queue: str, arrived, units: dict, names, factor: float, orders: list 
     cal = units[first]
     if second is None and len(cal) == 1:
         release = cal.next_event()[0]
-        for i, t, dur in arrived:
+        for t, dur in arrived:
             start = release if release > t else t
             starts.append(start)
             release = start + dur
-            if orders is not None:
-                orders[i - 1] = (t, queue, first, start, release)
         cal.schedule(release, first)
         return starts, slow
     # no second pool is one whose unit never frees
     h1, h2 = ([units[name].next_event()[0] for _ in range(len(units[name]))] if name
               else [math.inf] for name in names)
-    for i, t, dur in arrived:
-        heap, name = h1, first
+    for t, dur in arrived:
+        heap = h1
         if h1[0] > t and h2[0] < h1[0]:
-            heap, name = h2, second
+            heap = h2
             dur *= factor
             slow.append(len(starts))
         release = heap[0]
         start = release if release > t else t
         heapq.heapreplace(heap, start + dur)
         starts.append(start)
-        if orders is not None:
-            orders[i - 1] = (t, queue, name, start, start + dur)
     for name, heap in zip(names, (h1, h2)):
         if name:
             units[name] = cal = EventCalendar()

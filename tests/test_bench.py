@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -28,8 +30,9 @@ def bench_result(*args) -> dict:
     return result
 
 
-def test_traced_run_reports_every_per_layer_metric():
-    result = bench_result("--workload", "simulate-crn", "--trace", "1")
+@pytest.mark.parametrize("workload", [w["name"] for w in DECLARED["workloads"]])
+def test_traced_run_reports_every_per_layer_metric(workload):
+    result = bench_result("--workload", workload, "--trace", "1")
     assert {metric["name"] for metric in DECLARED["per_layer"]} <= set(result["metrics"])
 
 

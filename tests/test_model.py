@@ -604,3 +604,70 @@ class TestReplicationRuns:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, timeout=60)
         assert proc.stdout.strip() == "[]"
+
+
+# Paper-base replications 0-2 at seed 12345: arrivals, completions, and each
+# pool's grants and busy time, with the cost as float.hex. Interarrival gaps
+# come from math.log1p, so these pin this platform's libm log1p too; a libm
+# that rounds one gap differently moves them.
+PINNED = {
+    ("dedicated_streams", 0): (5752, 5750, "0x1.9ff31882bf97fp+15", {
+        "skilled_A": (1369, "0x1.55120b56289d2p+13"),
+        "skilled_B": (1374, "0x1.54822b960483cp+13"),
+        "unskilled_A": (79, "0x1.82bde50996585p+9"),
+        "unskilled_B": (65, "0x1.501fb0688d8e0p+9"),
+        "dispenser_A": (1454, "0x1.a9e8e115f5fe2p+11"),
+        "dispenser_B": (1411, "0x1.9d004b47f94f8p+11"),
+    }),
+    ("dedicated_streams", 1): (5902, 5902, "0x1.a122320a1c964p+15", {
+        "skilled_A": (1368, "0x1.57862ecf88738p+13"),
+        "skilled_B": (1427, "0x1.622f11e7a0359p+13"),
+        "unskilled_A": (93, "0x1.017e7c4439f6ap+10"),
+        "unskilled_B": (90, "0x1.d6571942a02bap+9"),
+        "dispenser_A": (1415, "0x1.9d00c77785c63p+11"),
+        "dispenser_B": (1509, "0x1.bbcf31fea1248p+11"),
+    }),
+    ("dedicated_streams", 2): (5728, 5728, "0x1.9ffb538e566b3p+15", {
+        "skilled_A": (1382, "0x1.5a1b7afb08c82p+13"),
+        "skilled_B": (1360, "0x1.5592bf6e7d7cep+13"),
+        "unskilled_A": (78, "0x1.8e1f53c2d8cdbp+9"),
+        "unskilled_B": (84, "0x1.a814dad6244e2p+9"),
+        "dispenser_A": (1473, "0x1.b09220dd2d19ap+11"),
+        "dispenser_B": (1351, "0x1.89275d3c23858p+11"),
+    }),
+    ("default_stream", 0): (5765, 5765, "0x1.9fb55dbdd2ddap+15", {
+        "skilled_A": (1371, "0x1.53ee9fc5e4040p+13"),
+        "skilled_B": (1306, "0x1.41c92cbd798e0p+13"),
+        "unskilled_A": (72, "0x1.64b7e6ad11366p+9"),
+        "unskilled_B": (74, "0x1.84f60b9087fb9p+9"),
+        "dispenser_A": (1472, "0x1.ae783b0f6905ep+11"),
+        "dispenser_B": (1470, "0x1.ab80f8660ff48p+11"),
+    }),
+    ("default_stream", 1): (5796, 5796, "0x1.a0642eabda820p+15", {
+        "skilled_A": (1383, "0x1.569d50ad9de53p+13"),
+        "skilled_B": (1369, "0x1.57ccad3d5f53dp+13"),
+        "unskilled_A": (73, "0x1.79c0cda582674p+9"),
+        "unskilled_B": (88, "0x1.d19dd7965e980p+9"),
+        "dispenser_A": (1423, "0x1.a126bcb70a072p+11"),
+        "dispenser_B": (1460, "0x1.ad33b1c6f4576p+11"),
+    }),
+    ("default_stream", 2): (5780, 5778, "0x1.a0515c06d2e40p+15", {
+        "skilled_A": (1370, "0x1.5adb073ea6fc8p+13"),
+        "skilled_B": (1345, "0x1.4f8309348f594p+13"),
+        "unskilled_A": (85, "0x1.c7a48829507e2p+9"),
+        "unskilled_B": (83, "0x1.a3221adcb2777p+9"),
+        "dispenser_A": (1477, "0x1.ad95aceb3c8c0p+11"),
+        "dispenser_B": (1420, "0x1.a224beb0771d5p+11"),
+    }),
+}
+
+
+@pytest.mark.parametrize("crn_mode, index", PINNED)
+def test_paper_replications_pinned_bit_for_bit(paper_config, crn_mode, index):
+    """The engine's exact outputs: a change to how a replication is computed
+    that moves any double, or any count, fails here."""
+    out = run_replication(paper_config.with_crn_mode(crn_mode), 12345, index)
+    arrivals, completions, cost, pools = PINNED[crn_mode, index]
+    assert (out.arrivals, out.completions) == (arrivals, completions)
+    assert out.total_usage_cost.hex() == cost
+    assert {name: (s.grants, s.busy_time.hex()) for name, s in out.pools.items()} == pools

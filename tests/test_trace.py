@@ -15,7 +15,7 @@ MODES = ["dedicated_streams", "default_stream"]
 
 def record_queues(monkeypatch) -> dict:
     """Patch the engine so that every order it hands a queue is recorded as
-    `(id, arrival, base duration)` under the queue's name."""
+    `(arrival, base duration)` under the queue's name."""
     queues = {}
     serve = model_mod._serve
 
