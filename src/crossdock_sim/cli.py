@@ -163,7 +163,7 @@ def simulate(config_path, seed, reps, confidence, event_log, out, threads):
         reports["simulate_events.csv"] = (
             ["replication", "time", "event_kind", "entity_id", "pool",
              "queue_len", "busy_units"],
-            [(i, *row) for i, r in enumerate(results) for row in r.log],
+            ((i, *row) for i, r in enumerate(results) for row in r.log),
         )
     write_reports(out, "simulate", seed,
                   {"config": config.to_dict(), "reps": reps, "confidence": confidence},

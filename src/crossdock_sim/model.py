@@ -453,20 +453,21 @@ def _event_log(orders: list, horizon: float) -> tuple:
 
     `orders[i]` is order i + 1's `(arrival, queue, pool, start, end)`:
     `queue` is "manual_<point>" or the dispenser pool. A unit freed at t
-    serves an order arriving at t, so at one instant the completions, in
-    the order they were scheduled, come before the arrival. A completion
-    hands its unit to the first order waiting for that pool, which in a
-    FIFO pool starts then. At a hand-off the completion's row shows the
-    unit freed and the queue still waiting, the grant's row the queue
-    after it.
+    serves an order arriving at t, so at one instant the completions come
+    before the arrival. A completion hands its unit to the first order
+    waiting for that pool, which in a FIFO pool starts then. At a hand-off
+    the completion's row shows the unit freed and the queue still waiting,
+    the grant's row the queue after it. Completions wait on a heap of
+    `(end, len(log) after the grant's row, pool, id)`: the stamp rises
+    with each grant, so equal ends pop in the order they were scheduled.
     """
     busy, queued, log = Counter(), Counter(), []
     waiting = defaultdict(deque)  # pool -> ids of the orders waiting for it
-    done = EventCalendar()
+    done = []
 
     def complete_until(until):
-        while done.peek() <= until:
-            t, pool, i = done.next_event()
+        while done and done[0][0] <= until:
+            t, _, pool, i = heapq.heappop(done)
             queue = orders[i - 1][1]
             busy[pool] -= 1
             log.append((t, "complete", i, pool, queued[queue], busy[pool]))
@@ -475,7 +476,7 @@ def _event_log(orders: list, horizon: float) -> tuple:
                 queued[queue] -= 1
                 busy[pool] += 1
                 log.append((t, "grant", successor, pool, queued[queue], busy[pool]))
-                done.schedule(orders[successor - 1][4], pool, successor)
+                heapq.heappush(done, (orders[successor - 1][4], len(log), pool, successor))
 
     for i, (t, queue, pool, start, end) in enumerate(orders, 1):
         complete_until(t)
@@ -483,7 +484,7 @@ def _event_log(orders: list, horizon: float) -> tuple:
         if start == t:
             busy[pool] += 1
             log.append((t, "grant", i, pool, queued[queue], busy[pool]))
-            done.schedule(end, pool, i)
+            heapq.heappush(done, (end, len(log), pool, i))
         else:
             waiting[pool].append(i)
             queued[queue] += 1

@@ -14,10 +14,9 @@ from pathlib import Path
 
 
 def format_cell(value) -> str:
+    """A bool as true/false, else `str`: a float's shortest round-trip form."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -28,16 +27,13 @@ def write_json(path: Path, payload: dict) -> None:
                                allow_nan=False) + "\n")
 
 
-def write_csv(path: Path, header: list[str], rows: list, manifest: dict,
+def write_csv(path: Path, header: list[str], rows, manifest: dict,
               footer: list | None = None) -> None:
     """CSV with the manifest embedded as a leading comment line and an
-    optional footer block of (name, value) rows."""
-    lines = ["# manifest " + json.dumps(manifest, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    if footer:
-        lines.append("")
-        for name, value in footer:
-            lines.append(f"{name},{format_cell(value)}")
-    path.write_text("\n".join(lines) + "\n")
+    optional footer block of (name, value) rows. `rows` may be any iterable,
+    a generator too: each row is written as it is read."""
+    with open(path, "w") as f:
+        f.write("# manifest " + json.dumps(manifest, sort_keys=True) + "\n")
+        blank = [()] if footer else []  # a footer follows one empty line
+        for block in ([header], rows, blank, footer or []):
+            f.writelines(",".join(map(format_cell, row)) + "\n" for row in block)

@@ -1,14 +1,17 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import crossdock_sim.model as model_mod
 from crossdock_sim import cli
 from crossdock_sim.cli import main
-from crossdock_sim.reporting import write_json
+from crossdock_sim.reporting import format_cell, write_csv, write_json
 
 
 @pytest.fixture
@@ -508,3 +511,60 @@ def test_write_reports_refuses_nan_before_any_file(tmp_path):
             "summary.json": {"summary": {"mean": math.nan}},
         })
     assert list(out.iterdir()) == []
+
+
+PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper-base.json"
+
+# The sha256 of three paper-base CSV reports at seed 7: the event log, a CSV
+# with a footer, and one with bool cells.
+PINNED_CSV = {
+    "simulate_events.csv": (["simulate", "--reps", "2", "--event-log"],
+                            "52922b409e6b1768729ab12a7d99fe8d20fc99a177bfc909e6c11a7ec4458e2d"),
+    "table5.csv": (["table5", "--levels", "3,5"],
+                   "cea2e0628e7796f83a1807050a3df26ad654140a3b8d8adbaf2b98285430020c"),
+    "optimize_trace.csv": (["optimize", "--crn"],
+                           "4a3740b0839f6a8ffc7a6a9e912639f97ae902cb3b380981e97ace5cd27b99e3"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CSV)
+def test_csv_reports_pinned_byte_for_byte(runner, tmp_path, name):
+    """A CSV report's exact bytes: a change to how a report is formatted or
+    written that moves one character fails here. Interarrival gaps come from
+    math.log1p, so like test_paper_replications_pinned_bit_for_bit these pin
+    this platform's libm log1p too."""
+    (command, *options), digest = PINNED_CSV[name]
+    out = tmp_path / "r"
+    res = runner.invoke(main, [command, str(PAPER_CONFIG), *options, "--seed", "7",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def event_rows(n):
+    return ((i // 5000, i * 0.37, "complete", i, "dispenser_A", i % 7, i % 2)
+            for i in range(n))
+
+
+def test_write_csv_streams_its_rows(tmp_path):
+    """Rows from a generator are written as they are read: the writer holds
+    no copy of them, so its peak memory does not grow with the row count."""
+    footer = [("rows", 100_000), ("mean", 0.1)]
+    rows = event_rows(100_000)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "streamed.csv", ["a"] * 7, rows, {"m": 1}, footer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    write_csv(tmp_path / "listed.csv", ["a"] * 7, list(event_rows(100_000)), {"m": 1},
+              footer)
+    assert ((tmp_path / "streamed.csv").read_bytes()
+            == (tmp_path / "listed.csv").read_bytes())
+
+
+def test_format_cell_writes_a_numpy_float_as_its_value():
+    assert format_cell(np.float64(0.1)) == "0.1"
+    assert format_cell(0.1) == "0.1"
+    assert (format_cell(True), format_cell(False)) == ("true", "false")
